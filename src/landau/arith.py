@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this log gap a comparison is decided by exact expansion; safe margin
-# above the rounding accumulated by products of <= 10^4 float logs.
+# Below this log gap a comparison is decided by exact expansion.  The largest
+# float logs compared are the g-table DP's cells: each is a sum of at most
+# π(B) positive rounded terms e·log p (B the DP's prime cutoff), so its error
+# stays below about π(B)·2⁻⁵²·log g(n).  At n = 10⁴ that is 79·2⁻⁵²·315 ≈
+# 5.5e-12; at TABLE_GUARD = 2·10⁵ it is 312·2⁻⁵²·1643 ≈ 1.1e-10, so two cells
+# compared still sit well inside the margin.  FactoredInteger.log_value is an
+# fsum, correct to about one ulp.
 LOG_TIE_EPS = 1e-9
 
 

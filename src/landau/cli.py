@@ -117,8 +117,8 @@ def _emit(fmt: str, payload: dict, text_lines: list[str], csv_rows=None) -> None
 def _load_table(ctx, n_max: int) -> LandauTable:
     """Build the table, going through LANDAU_CACHE_DIR when set.
 
-    A corrupt or missing cache file is rebuilt and rewritten; the cache is an
-    accelerator, never a source of truth.
+    A corrupt, truncated or missing cache file is rebuilt and rewritten; the
+    cache is an accelerator, never a source of truth.
     """
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
@@ -126,9 +126,12 @@ def _load_table(ctx, n_max: int) -> LandauTable:
     path = Path(cache_dir) / f"g_table_{n_max}.csv"
     if path.is_file():
         try:
-            return read_table_cache(path)
+            cached = read_table_cache(path)
         except (CacheParseError, OSError):
             pass
+        else:
+            if cached.n_max == n_max:
+                return cached
     table = landau_g(ctx, n_max)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,20 @@
 """Landau's g(n) by exact DP over prime powers, plus oracle and derived sequences.
 
 g(n) = max lcm of the partitions of n = max{ M : ℓ(M) ≤ n }.  The DP walks the
-primes in increasing order; for every budget j it keeps the best factored value
-using only the primes seen so far.  best[i][j] = max over e ≥ 0 with
-ℓ(p_i^e) ≤ j of p_i^e · best[i−1][j − ℓ(p_i^e)]; rows stay monotone in j, so
-budget slack never needs a separate pass.  Cells hold (log, chain) where a
-chain is a linked ((p, e), parent) tuple — O(1) to extend, expanded to a
-FactoredInteger only when the table is materialized.
+primes in increasing order over one float64 row of logs: after prime p,
+logs[j] is the log of the largest M with ℓ(M) ≤ j built from primes ≤ p.  Each
+prime updates the whole row with numpy, one shifted maximum per power p^e ≤ n,
+and stores the winning exponent per budget in a uint8 choice row.  Rows stay
+monotone in j, so budget slack never needs a separate pass.
+
+Floats decide a cell only when its best candidate beats the runner-up by at
+least LOG_TIE_EPS; every other cell is settled in exact big integers, whose
+values come from walking back the stored choice rows.  Choice rows are kept
+only for primes up to a cutoff B that starts from Grantham's bound
+P⁺(g(n)) ≤ 1.328·√(n log n).  Each run then checks that no prime in (B, n]
+raises any cell, doubling B until none does, so no value rests on the
+citation.  One backtrack over the primes, largest first, reads off the
+exponents of g(n) for every n at once.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .arith import (
     LOG_TIE_EPS,
@@ -30,6 +40,9 @@ from .arith import (
 
 BRUTE_FORCE_LIMIT = 35
 TABLE_GUARD = 200_000  # memory guard on n_max; override with allow_large
+# Grantham, Math. Comp. 64 (1995): P⁺(g(n)) ≤ 1.328·√(n log n); landau_g
+# starts its prime cutoff here and certifies it on every run
+CUTOFF_C = 1.328
 
 
 class CacheParseError(ValueError):
@@ -71,23 +84,6 @@ class GapStatistics:
     mean_gap: float
 
 
-def _chain_factors(chain) -> tuple:
-    fs = []
-    while chain is not None:
-        fs.append(chain[0])
-        chain = chain[1]
-    fs.reverse()  # chains grow largest-prime-first
-    return tuple(fs)
-
-
-def _chain_value(chain) -> int:
-    v = 1
-    while chain is not None:
-        (p, e), chain = chain
-        v *= p**e
-    return v
-
-
 def brute_force_g(n: int) -> FactoredInteger:
     """Maximum lcm over all partitions of n, by exhaustive enumeration.
 
@@ -126,6 +122,101 @@ def brute_force_g(n: int) -> FactoredInteger:
     return FactoredInteger(fs)
 
 
+def _costs(p: int, n: int) -> list[int]:
+    """ℓ(p^e) for e = 0, 1, … while p^e ≤ n, indexed by e; ℓ(p⁰) = 0."""
+    cs, c = [0], p
+    while c <= n:
+        cs.append(c)
+        c *= p
+    return cs
+
+
+def _exact(primes: list[int], choice: list[np.ndarray], k: int) -> int:
+    """Exact value of budget k over `primes`, walked back through their choice rows."""
+    v = 1
+    for p, row in zip(reversed(primes), reversed(choice)):
+        e = int(row[k])
+        if e:
+            c = p**e
+            v *= c
+            k -= c
+    return v
+
+
+def _relax_prime(logs, p: int, primes: list[int], choice: list[np.ndarray], eps: float):
+    """Relax the row `logs` with every power of p; returns the new row.
+
+    Appends p to `primes` and its uint8 row of winning exponents to `choice`.
+    A cell whose best and second-best candidates lie within eps is settled by
+    expanding every candidate within eps of the best exactly.
+    """
+    n = len(logs) - 1
+    lp = math.log(p)
+    costs = _costs(p, n)
+    best = logs.copy()
+    second = np.full(n + 1, -np.inf)
+    row = np.zeros(n + 1, dtype=np.uint8)
+    for e, c in enumerate(costs[1:], 1):
+        cand = logs[:-c] + e * lp
+        b, s = best[c:], second[c:]
+        np.maximum(s, np.minimum(cand, b), out=s)
+        row[c:][cand > b] = e
+        np.maximum(b, cand, out=b)
+    for j in np.flatnonzero(best - second < eps).tolist():
+        top, win = best[j], None
+        for e, c in enumerate(costs):
+            if c > j:
+                break
+            cand = logs[j - c] + e * lp
+            if cand > top - eps:
+                v = _exact(primes, choice, j - c) * p**e
+                if win is None or v > win[0]:
+                    win = (v, e, cand)
+        _, row[j], best[j] = win
+    primes.append(p)
+    choice.append(row)
+    return best
+
+
+def _cutoff_holds(logs, rest: list[int], eps: float) -> bool:
+    """True when no prime q in `rest` raises any cell of the row `logs`.
+
+    Every q in `rest` exceeds √n, so only q¹ fits a budget, and q passes when
+    logs[j] − logs[j − q] ≥ log q + eps for every j ≥ q.  Then no product of
+    such primes raises a cell either: each one in turn loses to the table.
+    """
+    i = 0
+    while i < len(rest):
+        q = rest[i]
+        gain = float(np.min(logs[q:] - logs[:-q]))
+        if gain < math.log(q) + eps:
+            return False
+        # the row is nondecreasing, so the least gain only grows with q: this
+        # one also passes every larger prime q' with log q' ≤ gain − eps
+        i = bisect_right(rest, gain - eps, lo=i + 1, key=math.log)
+    return True
+
+
+def _relax(ctx: PrimeContext, n_max: int):
+    """Float logs of g(0..n_max), the primes relaxed, and their choice rows.
+
+    Relaxes the primes up to the cutoff B, doubling B until _cutoff_holds
+    certifies that the primes above it change no cell.
+    """
+    eps = LOG_TIE_EPS
+    ps = ctx.primes[: bisect_right(ctx.primes, n_max)]
+    bound = max(math.isqrt(n_max) + 1, math.ceil(CUTOFF_C * math.sqrt(n_max * math.log(n_max))))
+    logs = np.zeros(n_max + 1)
+    primes: list[int] = []
+    choice: list[np.ndarray] = []
+    while True:
+        for p in ps[len(primes) : bisect_right(ps, bound)]:
+            logs = _relax_prime(logs, p, primes, choice, eps)
+        if _cutoff_holds(logs, ps[len(primes) :], eps):
+            return logs, primes, choice
+        bound *= 2
+
+
 def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> LandauTable:
     """Exact table of g(1..n_max) by DP over prime powers.
 
@@ -138,54 +229,28 @@ def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> Lan
     if n_max > TABLE_GUARD and not allow_large:
         raise BudgetError(f"n_max={n_max} exceeds guard {TABLE_GUARD}; pass allow_large")
 
-    logs = [0.0] * (n_max + 1)
-    chains: list = [None] * (n_max + 1)
-    eps = LOG_TIE_EPS
+    _, primes, choice = _relax(ctx, n_max)
 
-    for p in ctx.primes[: bisect_right(ctx.primes, n_max)]:
-        lp = math.log(p)
-        powers = []
-        c, e = p, 1
-        while c <= n_max:
-            powers.append((c, e * lp, e))
-            c *= p
-            e += 1
-        # descending j: every read at j - c is still the previous prime's row
-        if len(powers) == 1:
-            for j in range(n_max, p - 1, -1):
-                cand = logs[j - p] + lp
-                if cand > logs[j] + eps:
-                    logs[j] = cand
-                    chains[j] = ((p, 1), chains[j - p])
-                elif cand > logs[j] - eps:
-                    if _chain_value(chains[j - p]) * p > _chain_value(chains[j]):
-                        logs[j] = cand
-                        chains[j] = ((p, 1), chains[j - p])
-        else:
-            for j in range(n_max, p - 1, -1):
-                best = logs[j]
-                bchain = chains[j]
-                changed = False
-                for c, lpe, e in powers:
-                    if c > j:
-                        break
-                    cand = logs[j - c] + lpe
-                    if cand > best + eps:
-                        best, bchain, changed = cand, ((p, e), chains[j - c]), True
-                    elif cand > best - eps:
-                        if _chain_value(chains[j - c]) * p**e > _chain_value(bchain):
-                            best, bchain, changed = cand, ((p, e), chains[j - c]), True
-                if changed:
-                    logs[j] = best
-                    chains[j] = bchain
+    # walk every budget back at once, largest prime first; afterwards
+    # choice[i][n] is the exponent of primes[i] in g(n)
+    k = np.arange(n_max + 1)
+    fresh = np.zeros(n_max + 1, dtype=bool)  # fresh[n]: g(n) ≠ g(n − 1)
+    fresh[1] = True
+    for p, row in zip(reversed(primes), reversed(choice)):
+        row[:] = row[k]
+        k -= np.array(_costs(p, n_max))[row]
+        fresh[2:] |= row[2:] != row[1:-1]
 
-    values = []
-    prev_fs, prev_fi = None, None
-    for n in range(1, n_max + 1):
-        fs = _chain_factors(chains[n])
-        if fs != prev_fs:
-            prev_fs, prev_fi = fs, FactoredInteger(fs)
-        values.append(prev_fi)
+    starts = np.flatnonzero(fresh)
+    heads = np.zeros((len(starts), len(choice)), dtype=np.uint8)
+    for i, row in enumerate(choice):
+        heads[:, i] = row[starts]
+    rows, cols = np.nonzero(heads)  # row-major, so primes ascend within a row
+    ps = [primes[c] for c in cols.tolist()]
+    es = heads[rows, cols].tolist()
+    cuts = np.searchsorted(rows, np.arange(len(starts) + 1)).tolist()
+    distinct = [FactoredInteger(zip(ps[a:b], es[a:b])) for a, b in zip(cuts, cuts[1:])]
+    values = [distinct[r] for r in (np.cumsum(fresh[1:]) - 1).tolist()]
     return LandauTable(n_max=n_max, values=values)
 
 
@@ -204,7 +269,7 @@ def gamma(table: LandauTable, n: int) -> int:
         raise DomainError(f"gamma undefined for n={n}")
     if n > table.n_max:
         raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
-    return bisect_right(increase_points(table).points, n)
+    return len(increase_points(table.truncate(n)).points)
 
 
 def gap_statistics(points: IncreasePoints) -> GapStatistics:
@@ -232,11 +297,17 @@ def write_table_cache(table: LandauTable, path) -> None:
 
 def read_table_cache(path) -> LandauTable:
     values = []
+    prev_body = None
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         try:
             head, _, body = line.partition(",")
             if int(head) != i:
                 raise ValueError(f"expected n={i}, got {head!r}")
+            if body == prev_body:
+                # runs of equal g(n) share one object, as in DP-built tables
+                values.append(values[-1])
+                continue
+            prev_body = body
             if body == "1":
                 values.append(ONE)
                 continue

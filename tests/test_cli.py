@@ -189,6 +189,17 @@ def test_cache_dir_roundtrip(tmp_path):
     assert cache_file.read_text().startswith("1,1\n2,2^1\n")
 
 
+def test_truncated_cache_is_rebuilt(tmp_path):
+    assert run_cli("g", "--n", "100", cache_dir=tmp_path).returncode == 0
+    cache_file = tmp_path / "g_table_100.csv"
+    lines = cache_file.read_text().splitlines(keepends=True)
+    cache_file.write_text("".join(lines[:50]))
+    out = run_cli("g", "--n", "100", cache_dir=tmp_path)
+    assert out.returncode == 0
+    assert out.stdout == "g(100) = 232792560 = 2^4·3^2·5·7·11·13·17·19\n"
+    assert len(cache_file.read_text().splitlines()) == 100
+
+
 def test_cache_roundtrip_10k_under_a_second(tmp_path, table_10k):
     path = tmp_path / "g_table_10000.csv"
     start = time.perf_counter()

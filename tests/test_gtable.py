@@ -1,6 +1,14 @@
-import pytest
+import hashlib
+import math
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from landau import gtable
 from landau.arith import (
+    LOG_TIE_EPS,
     BudgetError,
     DomainError,
     OutOfRangeError,
@@ -69,6 +77,68 @@ def test_dp_guards(ctx_small):
     assert landau_g(big, 50, allow_large=True).g(50).value() == 180180
 
 
+def _sha256_of_cache(table, path):
+    write_table_cache(table, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_dp_matches_frozen_tables(tmp_path, ctx_small, table_10k):
+    # digests of the cache files the chain-based DP wrote (2 517 243 bytes at 10⁴)
+    assert _sha256_of_cache(table_10k, tmp_path / "a") == (
+        "f1203a972a66d4b41822308f46d4e0815db2a601643f5fa76901137cfecae558"
+    )
+    assert (tmp_path / "a").stat().st_size == 2_517_243
+    assert _sha256_of_cache(landau_g(ctx_small, 5000), tmp_path / "b") == (
+        "3168e69de09e127bd35a8b2f5f95d592a71e4debe16070cf71e3841d9c0e5b42"
+    )
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=35))
+def test_dp_matches_oracle_property(n):
+    table = landau_g(sieve_primes(max(n, 2)), n)
+    assert table.g(n) == brute_force_g(n)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, table_10k, eps):
+    # a wide tie band sends thousands of cells through exact repair
+    walks = []
+
+    def counting_exact(primes, choice, k):
+        walks.append(k)
+        return exact(primes, choice, k)
+
+    exact = gtable._exact
+    monkeypatch.setattr(gtable, "_exact", counting_exact)
+    monkeypatch.setattr(gtable, "LOG_TIE_EPS", eps)
+    assert landau_g(ctx_small, 3000).values == table_10k.values[:3000]
+    assert len(walks) > 2000  # two or more exact candidates per repaired cell
+
+
+def test_cutoff_fallback_keeps_table(monkeypatch, ctx_small, table_10k):
+    # a cutoff far below the largest prime of g(n) must fail its check and grow
+    verdicts = []
+
+    def recording_check(logs, rest, eps):
+        verdicts.append(check(logs, rest, eps))
+        return verdicts[-1]
+
+    check = gtable._cutoff_holds
+    monkeypatch.setattr(gtable, "_cutoff_holds", recording_check)
+    monkeypatch.setattr(gtable, "CUTOFF_C", 0.01)
+    assert landau_g(ctx_small, 3000).values == table_10k.values[:3000]
+    assert verdicts[0] is False and verdicts[-1] is True
+
+
+def test_dp_log_error_far_below_tie_eps(ctx_small, table_10k):
+    logs = gtable._relax(ctx_small, 10**4)[0]
+    err = max(
+        abs(logs[n] - math.log(table_10k.g(n).value())) for n in range(1, 10**4 + 1)
+    )
+    assert err < 1e-3 * LOG_TIE_EPS
+
+
 def test_g50_known_value(table_10k):
     assert table_10k.g(50).value() == 180180  # 2^2·3^2·5·7·11·13
 
@@ -128,6 +198,12 @@ def test_gamma_consistency(table_10k):
         assert (nk == n) == (n in ip.points)
 
 
+def test_gamma_matches_increase_points(table_10k):
+    t = table_10k.truncate(2000)
+    points = increase_points(t).points
+    assert all(gamma(t, n) == bisect_right(points, n) for n in range(1, 2001))
+
+
 def test_gamma_out_of_range(table_10k):
     with pytest.raises(OutOfRangeError):
         gamma(table_10k.truncate(10), 11)
@@ -163,6 +239,10 @@ def test_cache_round_trip(tmp_path, table_10k):
     back = read_table_cache(p1)
     assert back.n_max == t.n_max
     assert back.values == t.values
+    # equal rows come back as one shared object, as the DP builds them
+    assert all(
+        (a is b) == (a == b) for a, b in zip(back.values, back.values[1:])
+    )
     write_table_cache(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
