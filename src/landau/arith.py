@@ -1,4 +1,4 @@
-"""Prime sieving, Möbius, the additive cost ℓ, and exact factored arithmetic.
+"""Prime sieving and factorization, Möbius, the cost ℓ, exact factored arithmetic.
 
 ℓ is additive with ℓ(p^k) = p^k for k ≥ 1 and ℓ(1) = 0.  Everything downstream
 (g(n) tables, champions, swap neighborhoods) keeps integers in factored form:
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Below this log gap a comparison is decided by exact expansion.  The largest
+# Below this log gap a comparison is decided by exact expansion.  The same
+# slack decides corner-slope ties in champions and bounds the float error
+# allowed in the eq. 5.2 benefit check of windows.  The largest
 # float logs compared are the g-table DP's cells: each is a sum of at most
 # π(B) positive rounded terms e·log p (B the DP's prime cutoff), so its error
 # stays below about π(B)·2⁻⁵²·log g(n).  At n = 10⁴ that is 79·2⁻⁵²·315 ≈
@@ -96,6 +98,16 @@ class FactoredInteger:
     def __hash__(self):
         return hash(self.factors)
 
+    def __lt__(self, other):
+        if not isinstance(other, FactoredInteger):
+            return NotImplemented
+        return compare_factored(self, other) < 0
+
+    def __gt__(self, other):
+        if not isinstance(other, FactoredInteger):
+            return NotImplemented
+        return compare_factored(self, other) > 0
+
     def __str__(self):
         if not self.factors:
             return "1"
@@ -148,20 +160,51 @@ def prime_count(ctx: PrimeContext, x) -> int:
     return bisect_right(ctx.primes, x)
 
 
+def _proven_prime(n: int) -> bool:
+    """True when Miller–Rabin proves n prime.  Tried only from 2³², below
+    which trial division is quick, up to 3.3·10²⁴, below which the first 13
+    prime bases are exact (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if not 1 << 32 <= n < 3_317_044_064_679_887_385_961_981:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n − 1 = d·2^s with d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        y = pow(a, (n - 1) >> s, n)
+        if y != 1 and all(pow(y, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n ≥ 1 as (p, e) pairs, primes ascending.
+
+    Trial division; a large cofactor that Miller–Rabin proves prime ends the
+    search at once.
+    """
+    if n < 1:
+        raise DomainError(f"cannot factorize n={n}")
+    fs = []
+    d = 2
+    proven = _proven_prime(n)
+    while not proven and d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            fs.append((d, e))
+            proven = _proven_prime(n)
+        d += 1 if d == 2 else 2
+    if n > 1:
+        fs.append((n, 1))
+    return fs
+
+
 def moebius(n: int) -> int:
     """μ(n): 0 on a squared factor, else (−1)^(number of prime factors)."""
     if n < 1:
         raise DomainError(f"moebius undefined for n={n}")
-    sign = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            sign = -sign
-        d += 1 if d == 2 else 2
-    return -sign if n > 1 else sign
+    fs = factorize(n)
+    return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
 def ell(M: FactoredInteger) -> int:
@@ -175,6 +218,8 @@ def compare_factored(A: FactoredInteger, B: FactoredInteger) -> int:
     Logs decide unless they agree within LOG_TIE_EPS, where arbitrary
     precision takes over — near-ties are real once values clear 64 bits.
     """
+    if A is B:
+        return 0
     d = A.log_value - B.log_value
     if abs(d) >= LOG_TIE_EPS:
         return -1 if d < 0 else 1

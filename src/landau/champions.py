@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .arith import (
+    LOG_TIE_EPS,
     DomainError,
     FactoredInteger,
     OutOfRangeError,
@@ -24,7 +25,6 @@ from .arith import (
 from .gtable import LandauTable
 
 RHO_MIN = 2 / math.log(2)  # = 4/log 4, the x = 4 corner
-TIE_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,10 @@ def _exponent_with_tie(p: int, rho: float) -> tuple[int, bool]:
     k, tie = 0, False
     while True:
         s = _corner_slope(p, k + 1, lp)
-        if s <= rho - TIE_EPS:
-            k += 1
-        elif s < rho + TIE_EPS:
-            k += 1  # boundary tie: larger exponent wins
-            tie = True
-        else:
+        if s >= rho + LOG_TIE_EPS:
             return k, tie
+        tie = tie or s > rho - LOG_TIE_EPS  # boundary tie: larger exponent wins
+        k += 1
 
 
 def champion_exponent(p: int, rho: float) -> int:
@@ -128,12 +125,12 @@ def convexity_checks(champ: ChampionRecord, p: int, t_max: int) -> bool:
     a = champ.N.exponent_of(p)
     up1 = benefit(champ, champ.N.with_exponent(p, a + 1))
     for t in range(1, t_max + 1):
-        if benefit(champ, champ.N.with_exponent(p, a + t)) < t * up1 - TIE_EPS:
+        if benefit(champ, champ.N.with_exponent(p, a + t)) < t * up1 - LOG_TIE_EPS:
             return False
     if a:
         down1 = benefit(champ, champ.N.with_exponent(p, a - 1))
         for t in range(1, a + 1):
-            if benefit(champ, champ.N.with_exponent(p, a - t)) < t * down1 - TIE_EPS:
+            if benefit(champ, champ.N.with_exponent(p, a - t)) < t * down1 - LOG_TIE_EPS:
                 return False
     return True
 

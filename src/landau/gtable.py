@@ -35,7 +35,7 @@ from .arith import (
     FactoredInteger,
     OutOfRangeError,
     PrimeContext,
-    compare_factored,
+    factorize,
 )
 
 BRUTE_FORCE_LIMIT = 35
@@ -106,20 +106,7 @@ def brute_force_g(n: int) -> FactoredInteger:
             rec(remaining - m, m, math.lcm(acc, m))
 
     rec(n, n, 1)
-
-    fs = []
-    v, d = best, 2
-    while d * d <= v:
-        if v % d == 0:
-            e = 0
-            while v % d == 0:
-                v //= d
-                e += 1
-            fs.append((d, e))
-        d += 1
-    if v > 1:
-        fs.append((v, 1))
-    return FactoredInteger(fs)
+    return FactoredInteger(factorize(best))
 
 
 def _costs(p: int, n: int) -> list[int]:
@@ -256,10 +243,7 @@ def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> Lan
 
 def increase_points(table: LandauTable) -> IncreasePoints:
     """n_1 = 1 by convention, then every n ≥ 2 with g(n) > g(n−1)."""
-    pts = [1]
-    for n in range(2, table.n_max + 1):
-        if compare_factored(table.g(n), table.g(n - 1)) > 0:
-            pts.append(n)
+    pts = [1] + [n for n in range(2, table.n_max + 1) if table.g(n) > table.g(n - 1)]
     return IncreasePoints(points=pts, gaps=[b - a for a, b in zip(pts, pts[1:])])
 
 

@@ -3,10 +3,10 @@ around the lower bound |E| ≥ C₂·x^α.
 
 E collects P − Q over primes Q ∈ (x − x^α, x] and P ∈ (x, x + x^α]; r(d)
 counts the pairs at each difference.  f(d) = ∏_{p|d, p>2} (p−1)/(p−2) and its
-Möbius companion h(n) = Σ_{a|n} μ(a) f²(n/a) are kept as exact rationals —
-Σ_{n≤x} f²(n) ≤ (8/3)x is checked with no floating point at all.  The Selberg
-condition predicates and the short-interval hypothesis flags are exact
-inequalities on sieved prime counts.
+Möbius companion h(n) = Σ_{a|n} μ(a) f²(n/a) are exact rationals over the
+primes from arith.factorize, and a multiplicative sieve checks Σ_{n≤x} f²(n)
+≤ (8/3)x with no floating point at all.  The Selberg condition predicates and
+the short-interval hypothesis flags are exact inequalities on sieved counts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .arith import (
     DomainError,
     OutOfRangeError,
     PrimeContext,
+    factorize,
     prime_count,
+    sieve_primes,
 )
 
 C1_EXACT = Fraction(27, 16384)  # ≥ the published safe constant 0.00164
@@ -65,13 +67,6 @@ class GapReport:
         }
 
 
-def _window_primes(ctx: PrimeContext, lo: float, hi: float) -> list[int]:
-    # primes p with lo < p ≤ hi
-    from bisect import bisect_right
-
-    return ctx.primes[bisect_right(ctx.primes, lo) : bisect_right(ctx.primes, hi)]
-
-
 def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], dict[int, int]]:
     """Exact E and r(d) by double loop over the two prime windows."""
     w = x**alpha
@@ -79,8 +74,8 @@ def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int]
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
     if ctx.limit < x + w:
         raise OutOfRangeError(f"sieve limit {ctx.limit} < x + x^α = {x + w}")
-    qs = _window_primes(ctx, x - w, x)
-    ps = _window_primes(ctx, x, x + w)
+    lo, mid, hi = (prime_count(ctx, t) for t in (x - w, x, x + w))
+    qs, ps = ctx.primes[lo:mid], ctx.primes[mid:hi]
     r: dict[int, int] = {}
     for p in ps:
         for q in qs:
@@ -93,38 +88,7 @@ def f_factor(d: int) -> Fraction:
     """f(d) = ∏_{p|d, p>2} (p−1)/(p−2), exact."""
     if d < 1:
         raise DomainError(f"f undefined for d={d}")
-    out = Fraction(1)
-    n = d
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            out *= Fraction(p - 1, p - 2)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        out *= Fraction(n - 1, n - 2)
-    return out
-
-
-def _distinct_primes(n: int) -> list[int]:
-    ps = []
-    if n % 2 == 0:
-        ps.append(2)
-        while n % 2 == 0:
-            n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            ps.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        ps.append(n)
-    return ps
+    return math.prod((Fraction(p - 1, p - 2) for p, _ in factorize(d) if p > 2), start=Fraction(1))
 
 
 @lru_cache(maxsize=None)
@@ -136,47 +100,35 @@ def h_convolution(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"h undefined for n={n}")
-    ps = _distinct_primes(n)
+    ps = [p for p, _ in factorize(n)]
     total = Fraction(0)
     for r in range(len(ps) + 1):
-        sign = -1 if r % 2 else 1
         for sub in combinations(ps, r):
-            a = math.prod(sub)
-            total += sign * f_factor(n // a) ** 2
+            total += (-1) ** r * f_factor(n // math.prod(sub)) ** 2
     return total
-
-
-def _spf_array(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-    return spf
 
 
 def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
     """Σ_{n≤limit} f²(n) exactly, the ≤ (8/3)·limit verdict, and the ratio.
 
-    Individual f²(n) come from a smallest-prime-factor table; the exact sum is
-    merged pairwise (divide and conquer) because a linear accumulation drags a
-    denominator with thousands of digits through every step.
+    f(n) = num[n]/den[n] comes from one multiplicative sieve over the odd
+    primes; both stay ≤ n, so int32 holds them below 2³¹.  The exact sum is
+    merged pairwise (divide and conquer) because a linear accumulation drags
+    a denominator with thousands of digits through every step.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    spf = _spf_array(limit)
+    if limit >= 1 << 31:
+        raise OutOfRangeError(f"limit must be below 2^31, got {limit}")
+    num, den = np.ones((2, limit + 1), dtype=np.int32)
+    for p in sieve_primes(max(limit, 2)).primes[1:]:
+        num[p::p] *= p - 1
+        den[p::p] *= p - 2
     terms = []
-    for n in range(1, limit + 1):
-        num = den = 1
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            if p > 2:
-                num *= p - 1
-                den *= p - 2
-            while m % p == 0:
-                m //= p
-        terms.append(Fraction(num * num, den * den))
+    block = 1 << 14  # Python ints one block at a time keep peak memory flat
+    for lo in range(1, limit + 1, block):
+        nums, dens = num[lo : lo + block].tolist(), den[lo : lo + block].tolist()
+        terms.extend(Fraction(a * a, b * b) for a, b in zip(nums, dens))
     while len(terms) > 1:
         paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
@@ -195,24 +147,26 @@ def euler_products(ctx: PrimeContext, limit: int) -> tuple[float, float]:
         raise OutOfRangeError(f"limit {limit} exceeds sieve limit {ctx.limit}")
     twin_style = 1.0
     fsq_density = 1.0
-    for p in ctx.primes:
-        if p > limit:
-            break
-        if p == 2:
-            continue
+    for p in ctx.primes[1 : prime_count(ctx, limit)]:
         twin_style *= 1 - 1 / (p - 1) ** 2
         fsq_density *= 1 + (2 * p - 3) / (p * (p - 2) ** 2)
     return twin_style, fsq_density
+
+
+def _interval_counts(ctx: PrimeContext, x: float, alpha: float) -> tuple[int, int, float]:
+    """π(x+x^α) − π(x), π(x) − π(x−x^α), and x^α."""
+    w = x**alpha
+    upper = prime_count(ctx, x + w) - prime_count(ctx, x)
+    lower = prime_count(ctx, x) - prime_count(ctx, x - w)
+    return upper, lower, w
 
 
 def hypothesis_31_32(
     ctx: PrimeContext, x: float, alpha: float, epsilon: float
 ) -> tuple[bool, bool]:
     """π(x+x^α) − π(x) ≥ (1−ε)x^α/log x, and the mirror below x."""
-    w = x**alpha
+    upper, lower, w = _interval_counts(ctx, x, alpha)
     expected = (1 - epsilon) * w / math.log(x)
-    upper = prime_count(ctx, x + w) - prime_count(ctx, x)
-    lower = prime_count(ctx, x) - prime_count(ctx, x - w)
     return upper >= expected, lower >= expected
 
 
@@ -231,7 +185,7 @@ def nearest_slope(x: float) -> tuple[int, int, float]:
         lq = math.log(q)
         if (q * q - q) / lq > bound:
             break
-        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+        if factorize(q) == [(q, 1)]:
             k = 2
             while True:
                 s = (q**k - q ** (k - 1)) / lq
@@ -244,6 +198,12 @@ def nearest_slope(x: float) -> tuple[int, int, float]:
     return best
 
 
+def slope_separated(x: float) -> bool:
+    """c23: every corner slope (Q^k − Q^{k−1})/log Q, k ≥ 2, lies at least
+    √x/log⁴x away from x/log x."""
+    return nearest_slope(x)[2] >= math.sqrt(x) / math.log(x) ** 4
+
+
 def selberg_conditions(
     ctx: PrimeContext, x: float, alpha: float, epsilon: float
 ) -> tuple[bool, bool, bool]:
@@ -253,15 +213,11 @@ def selberg_conditions(
     c22: the mirror below x
     c23: |x/log x − (Q^k − Q^{k−1})/log Q| ≥ √x/log⁴x over all Q^k, k ≥ 2
     """
-    w = x**alpha
+    upper, lower, w = _interval_counts(ctx, x, alpha)
     expected = w / math.log(x)
-    upper = prime_count(ctx, x + w) - prime_count(ctx, x)
-    lower = prime_count(ctx, x) - prime_count(ctx, x - w)
     c21 = abs(upper - expected) <= epsilon * expected
     c22 = abs(lower - expected) <= epsilon * expected
-    margin = math.sqrt(x) / math.log(x) ** 4
-    c23 = nearest_slope(x)[2] >= margin
-    return c21, c22, c23
+    return c21, c22, slope_separated(x)
 
 
 def exceptional_measure_scan(

@@ -17,20 +17,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import (
+    LOG_TIE_EPS,
     BudgetError,
     DomainError,
     FactoredInteger,
     OutOfRangeError,
     PrimeContext,
-    compare_factored,
-    ell,
 )
 from .champions import ChampionRecord, benefit
 from .gtable import LandauTable
-from .prime_gaps import nearest_slope
+from .prime_gaps import slope_separated
 
 CANDIDATE_BUDGET = 10**7
-BEN_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,9 @@ def enumerate_B(
     if total > CANDIDATE_BUDGET:
         raise BudgetError(f"window would enumerate {total} candidates (> {CANDIDATE_BUDGET})")
 
+    # distinct (P, Q) give distinct M: P sets differ in the primes above x, Q
+    # sets in the primes at most x removed from N, so no candidate repeats
     out = [SwapCandidate(base=champ, P_list=(), Q_list=(), d=0, value=champ.N)]
-    seen = {champ.N.factors}
     for r in range(1, r_max + 1):
         max_q_sum = sum(qs[-r:])
         for P in combinations(ps, r):
@@ -137,28 +136,8 @@ def enumerate_B(
                 d = sp - sum(Q)
                 if 0 <= d <= d_max:
                     value = _swap_value(champ.N, P, Q)
-                    if value.factors not in seen:
-                        seen.add(value.factors)
-                        out.append(
-                            SwapCandidate(base=champ, P_list=P, Q_list=Q, d=d, value=value)
-                        )
+                    out.append(SwapCandidate(base=champ, P_list=P, Q_list=Q, d=d, value=value))
     return out
-
-
-def _max_by_compare(cands: list[SwapCandidate]) -> SwapCandidate:
-    best = cands[0]
-    for c in cands[1:]:
-        if compare_factored(c.value, best.value) > 0:
-            best = c
-    return best
-
-
-def _min_by_compare(cands: list[SwapCandidate]) -> SwapCandidate:
-    best = cands[0]
-    for c in cands[1:]:
-        if compare_factored(c.value, best.value) < 0:
-            best = c
-    return best
 
 
 def assemble_report(
@@ -174,16 +153,11 @@ def assemble_report(
     width = math.floor(2 * champ.x**alpha)
     window: dict[int, FactoredInteger] = {}
     running = champ.N
-    di = 0
     for m in range(n, n + width + 1):
-        while di < len(d_sequence) and d_sequence[di] <= m - n:
-            best = _max_by_compare(by_d[d_sequence[di]]).value
-            if compare_factored(best, running) > 0:
-                running = best
-            di += 1
+        if m - n in by_d:
+            running = max(running, max(c.value for c in by_d[m - n]))
         window[m] = running
 
-    margin = math.sqrt(champ.x) / math.log(champ.x) ** 4
     return WindowReport(
         champion=champ,
         alpha=alpha,
@@ -191,7 +165,7 @@ def assemble_report(
         by_d=by_d,
         window_g=window,
         d_sequence=d_sequence,
-        slope_separation=nearest_slope(champ.x)[2] >= margin,
+        slope_separation=slope_separated(champ.x),
     )
 
 
@@ -201,20 +175,18 @@ def window_g(champ: ChampionRecord, alpha: float, ctx: PrimeContext) -> WindowRe
 
 def check_ordering_by_d(report: WindowReport) -> bool:
     """max B_d < min B_{d′} for every nonempty d < d′ (consecutive suffices)."""
-    seq = report.d_sequence
-    for a, b in zip(seq, seq[1:]):
-        hi = _max_by_compare(report.by_d[a]).value
-        lo = _min_by_compare(report.by_d[b]).value
-        if compare_factored(hi, lo) >= 0:
-            return False
-    return True
+    seq, by_d = report.d_sequence, report.by_d
+    return all(
+        max(c.value for c in by_d[a]) < min(c.value for c in by_d[b])
+        for a, b in zip(seq, seq[1:])
+    )
 
 
 def eq52_bound_holds(report: WindowReport) -> bool:
-    """ben(g(m)) ≤ m − n throughout the window (float slack 1e−9)."""
+    """ben(g(m)) ≤ m − n throughout the window (float slack LOG_TIE_EPS)."""
     n = report.champion.n
     return all(
-        benefit(report.champion, fi) <= m - n + BEN_EPS
+        benefit(report.champion, fi) <= m - n + LOG_TIE_EPS
         for m, fi in report.window_g.items()
     )
 

@@ -13,6 +13,7 @@ from landau.arith import (
     OutOfRangeError,
     compare_factored,
     ell,
+    factorize,
     moebius,
     prime_count,
     sieve_primes,
@@ -90,6 +91,35 @@ def test_prime_count_examples(ctx_small):
 def test_prime_count_out_of_range(ctx_small):
     with pytest.raises(OutOfRangeError):
         prime_count(ctx_small, 10**4 + 1)
+
+
+# ---------------------------------------------------------------- factorize
+
+
+def assert_factorization(n, fs):
+    assert math.prod(p**e for p, e in fs) == n
+    assert all(e >= 1 for _, e in fs)
+    assert all(p < q for (p, _), (q, _) in zip(fs, fs[1:]))
+
+
+def test_factorize_small_n():
+    primes = set(flat_sieve(10**4))
+    for n in range(1, 10**4 + 1):
+        fs = factorize(n)
+        assert_factorization(n, fs)
+        assert all(p in primes for p, _ in fs)
+
+
+def test_factorize_large_n():
+    mersenne = 2**61 - 1  # prime
+    assert factorize(mersenne) == [(mersenne, 1)]
+    assert factorize(6 * mersenne) == [(2, 1), (3, 1), (mersenne, 1)]
+    semiprime = 999_979 * 999_983  # 12 digits, two 6-digit prime factors
+    assert factorize(semiprime) == [(999_979, 1), (999_983, 1)]
+    for n in (mersenne, 6 * mersenne, semiprime, 2**40 * 3**5):
+        assert_factorization(n, factorize(n))
+    with pytest.raises(DomainError):
+        factorize(0)
 
 
 # ---------------------------------------------------------------- moebius
@@ -173,6 +203,23 @@ def test_compare_examples():
     assert compare_factored(twelve, fifteen) == -1
     assert compare_factored(sixty, sixty) == 0
     assert compare_factored(FactoredInteger([(3, 5)]), FactoredInteger([(2, 8)])) == -1
+
+
+def test_compare_same_object_skips_arithmetic():
+    A = FactoredInteger([(2, 40), (3, 7), (101, 2)])
+    assert compare_factored(A, A) == 0
+    assert A._value is None
+
+
+def test_ordering_operators_follow_compare():
+    twelve = FactoredInteger([(2, 2), (3, 1)])
+    fifteen = FactoredInteger([(3, 1), (5, 1)])
+    assert twelve < fifteen and fifteen > twelve
+    assert not twelve < FactoredInteger([(2, 2), (3, 1)])
+    assert max([twelve, fifteen, twelve]) is fifteen
+    assert min([fifteen, twelve]) is twelve
+    with pytest.raises(TypeError):
+        twelve < 15
 
 
 def test_compare_matches_exact_values_on_random_pairs():

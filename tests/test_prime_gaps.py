@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from landau import prime_gaps
 from landau.arith import DomainError, OutOfRangeError, prime_count, sieve_primes
 from landau.prime_gaps import (
     C1_EXACT,
@@ -18,6 +19,7 @@ from landau.prime_gaps import (
     nearest_slope,
     selberg_conditions,
     sieve_bound_report,
+    slope_separated,
     sum_f_squared_check,
 )
 
@@ -110,8 +112,29 @@ def test_sum_f_squared_small():
 
 
 def test_sum_f_squared_matches_f_factor():
-    s, _, _ = sum_f_squared_check(500)
-    assert s == sum(f_factor(n) ** 2 for n in range(1, 501))
+    # 16385 reaches past the first block of 2^14 terms
+    for limit in (500, 16385):
+        s, _, _ = sum_f_squared_check(limit)
+        assert s == sum(f_factor(n) ** 2 for n in range(1, limit + 1))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("reached before the range check")
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        return _refuse
+
+
+def test_sum_f_squared_refuses_int32_overflow(monkeypatch):
+    # refused before any array or sieve is built
+    monkeypatch.setattr(prime_gaps, "np", _NoArrays())
+    monkeypatch.setattr(prime_gaps, "sieve_primes", _refuse)
+    with pytest.raises(OutOfRangeError):
+        sum_f_squared_check(2**31)
+    with pytest.raises(AssertionError):
+        sum_f_squared_check(2**31 - 1)  # the last limit int32 holds gets past
 
 
 def test_sum_f_squared_large():
@@ -162,6 +185,14 @@ def test_nearest_slope_at_100():
     assert (q, k) == (7, 2)
     assert dist == pytest.approx(0.131, abs=1e-3)
     assert dist >= math.sqrt(100) / math.log(100) ** 4
+
+
+def test_slope_separated_is_selberg_c23(ctx_million):
+    for x in (13, 16, 100, 256, 1328, 10**5):
+        expected = nearest_slope(x)[2] >= math.sqrt(x) / math.log(x) ** 4
+        assert slope_separated(x) is expected
+        assert selberg_conditions(ctx_million, x, 0.45, 0.5)[2] is expected
+    assert not slope_separated(16)  # the slope of 2³, 4/log 2, is ρ = 16/log 16
 
 
 def test_scan_deterministic(ctx_million):

@@ -115,6 +115,8 @@ def test_candidate_invariants(rep13, rep31, rep100, rep101):
             assert 0 <= c.d <= 2 * x**rep.alpha
             num, den = math.prod(c.P_list), math.prod(c.Q_list)
             assert c.value.value() * den == champ.N.value() * num
+        # enumerate_B keeps no seen-set: distinct (P, Q) must give distinct values
+        assert len({c.value for c in rep.candidates}) == len(rep.candidates)
 
 
 # ---------------------------------------------------------------- window values
