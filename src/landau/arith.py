@@ -24,6 +24,9 @@ import numpy as np
 # compared still sit well inside the margin.  FactoredInteger.log_value is an
 # fsum, correct to about one ulp.
 LOG_TIE_EPS = 1e-9
+# largest sieve limit: at 10⁸ the list of 5.8 million primes alone takes about
+# 200 MB, and no caller here sieves past 10⁷
+SIEVE_GUARD = 10**8
 
 
 class DomainError(ValueError):
@@ -132,6 +135,8 @@ def sieve_primes(limit: int) -> PrimeContext:
     """Segmented sieve of Eratosthenes: every prime ≤ limit, increasing."""
     if limit < 2:
         raise DomainError(f"no primes below 2 (limit={limit})")
+    if limit > SIEVE_GUARD:
+        raise BudgetError(f"sieve limit {limit} exceeds guard {SIEVE_GUARD}")
     root = math.isqrt(limit)
     base = np.ones(root + 1, dtype=bool)
     base[: min(2, root + 1)] = False

@@ -1,9 +1,7 @@
-"""Command-line surface: one subcommand per engine, text/JSON/CSV emission,
-and an optional on-disk g-table cache.
+"""Command-line surface: one subcommand per engine, text/JSON/CSV emission.
 
 Exit codes: 0 success, 1 domain error, 2 range/budget error, 64 bad flags.
-The only environment knob is LANDAU_CACHE_DIR (directory for table caches);
-every scientific parameter is a flag.
+Every scientific parameter is a flag.
 """
 
 from __future__ import annotations
@@ -12,21 +10,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from pathlib import Path
 
 from .arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, sieve_primes
 from .champions import build_champion
-from .gtable import (
-    CacheParseError,
-    LandauTable,
-    gamma,
-    increase_points,
-    landau_g,
-    read_table_cache,
-    write_table_cache,
-)
+from .gtable import LandauTable, factor_token, gamma, increase_points, landau_g
 from .prime_gaps import (
     C1_EXACT,
     C1_SAFE,
@@ -42,8 +30,6 @@ EXIT_DOMAIN = 1
 EXIT_RANGE = 2
 EXIT_USAGE = 64
 
-CACHE_ENV = "LANDAU_CACHE_DIR"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default, which collides with the
@@ -51,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _factor_token(factors) -> str:
-    return " ".join(f"{p}^{e}" for p, e in factors) if factors else "1"
 
 
 def _g_line(n: int, fi: FactoredInteger) -> str:
@@ -89,7 +71,7 @@ def _flatten_payload(payload: dict) -> list[tuple[str, str]]:
             for k, sub in v.items():
                 walk(f"{key}.{k}" if key else str(k), sub)
         elif _is_factor_pairs(v):
-            rows.append((key, _factor_token(v)))
+            rows.append((key, factor_token(v)))
         elif isinstance(v, list):
             if v and all(isinstance(e, dict) for e in v):
                 for i, e in enumerate(v):
@@ -104,93 +86,82 @@ def _flatten_payload(payload: dict) -> list[tuple[str, str]]:
     return rows
 
 
-def _emit(fmt: str, payload: dict, text_lines: list[str], csv_rows=None) -> None:
+def _emit(fmt: str, payload, text, csv_rows=None) -> None:
+    """Write the one rendering `fmt` names.
+
+    Each rendering is a zero-argument callable, so the two not asked for are
+    never built; CSV defaults to the flattened payload.
+    """
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(csv_rows if csv_rows is not None else _flatten_payload(payload))
+        writer.writerows(csv_rows() if csv_rows is not None else _flatten_payload(payload()))
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        sys.stdout.write("\n".join(text()) + "\n")
 
 
-def _load_table(ctx, n_max: int) -> LandauTable:
-    """Build the table, going through LANDAU_CACHE_DIR when set.
-
-    A corrupt, truncated or missing cache file is rebuilt and rewritten; the
-    cache is an accelerator, never a source of truth.
-    """
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return landau_g(ctx, n_max)
-    path = Path(cache_dir) / f"g_table_{n_max}.csv"
-    if path.is_file():
-        try:
-            cached = read_table_cache(path)
-        except (CacheParseError, OSError):
-            pass
-        else:
-            if cached.n_max == n_max:
-                return cached
-    table = landau_g(ctx, n_max)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_table_cache(table, path)
-    except OSError:
-        pass
-    return table
+def _table(n_max: int) -> LandauTable:
+    return landau_g(sieve_primes(max(n_max, 3)), n_max)
 
 
-def _table_ctx(n_max: int):
-    return sieve_primes(max(n_max, 3))
+def _check_above(name: str, value: float, low: float) -> None:
+    # before any sieve: inf and NaN would otherwise end in math.ceil
+    if not low < value < math.inf:
+        raise DomainError(f"{name} must be finite and exceed {low}, got {value}")
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _run_g(args):
-    table = _load_table(_table_ctx(args.n), args.n)
-    fi = table.g(args.n)
-    payload = {"n": args.n, "value": fi.value(), "factors": [[p, e] for p, e in fi.factors]}
-    csv_rows = [("n", "value", "factors"), (str(args.n), str(fi.value()), _factor_token(fi.factors))]
-    _emit(args.format, payload, [_g_line(args.n, fi)], csv_rows)
+    fi = _table(args.n).g(args.n)
+    _emit(
+        args.format,
+        lambda: {"n": args.n, "value": fi.value(), "factors": [[p, e] for p, e in fi.factors]},
+        lambda: [_g_line(args.n, fi)],
+        lambda: [("n", "value", "factors"), (str(args.n), str(fi.value()), factor_token(fi.factors))],
+    )
 
 
 def _run_table(args):
-    table = _load_table(_table_ctx(args.to), args.to)
-    entries = [(n, table.g(n)) for n in range(1, args.to + 1)]
-    payload = {
-        "n_max": args.to,
-        "table": [{"n": n, "factors": [[p, e] for p, e in fi.factors]} for n, fi in entries],
-    }
-    csv_rows = [("n", "factors")] + [(str(n), _factor_token(fi.factors)) for n, fi in entries]
-    _emit(args.format, payload, [_g_line(n, fi) for n, fi in entries], csv_rows)
+    entries = list(enumerate(_table(args.to).values, 1))
+    _emit(
+        args.format,
+        lambda: {
+            "n_max": args.to,
+            "table": [{"n": n, "factors": [[p, e] for p, e in fi.factors]} for n, fi in entries],
+        },
+        lambda: [_g_line(n, fi) for n, fi in entries],
+        lambda: [("n", "factors")] + [(str(n), factor_token(fi.factors)) for n, fi in entries],
+    )
 
 
 def _run_increase_points(args):
-    table = _load_table(_table_ctx(args.to), args.to)
-    points = increase_points(table).points
-    payload = {"to": args.to, "points": list(points)}
-    csv_rows = [("n_k",)] + [(str(p),) for p in points]
-    text = [f"n_{k} = {p}" for k, p in enumerate(points, start=1)]
-    _emit(args.format, payload, text, csv_rows)
+    points = increase_points(_table(args.to)).points
+    _emit(
+        args.format,
+        lambda: {"to": args.to, "points": list(points)},
+        lambda: [f"n_{k} = {p}" for k, p in enumerate(points, start=1)],
+        lambda: [("n_k",)] + [(str(p),) for p in points],
+    )
 
 
 def _run_gamma(args):
-    table = _load_table(_table_ctx(args.n), args.n)
-    value = gamma(table, args.n)
-    payload = {"n": args.n, "gamma": value}
-    csv_rows = [("n", "gamma"), (str(args.n), str(value))]
-    _emit(args.format, payload, [f"gamma({args.n}) = {value}"], csv_rows)
+    value = gamma(_table(args.n), args.n)
+    _emit(
+        args.format,
+        lambda: {"n": args.n, "gamma": value},
+        lambda: [f"gamma({args.n}) = {value}"],
+        lambda: [("n", "gamma"), (str(args.n), str(value))],
+    )
 
 
 def _run_champion(args):
     x = args.x
-    if not x > 4:
-        raise DomainError(f"x must exceed 4, got {x}")
+    _check_above("x", x, 4)
     ctx = sieve_primes(max(math.ceil(x), 5))
     champ = build_champion(ctx, x)
-    payload = champ.payload()
     ties = " ".join(str(p) for p in champ.tie_flags) or "none"
     text = [
         f"champion at x = {_cell(champ.x)}: N = {champ.N.value()} = {champ.N}",
@@ -198,47 +169,45 @@ def _run_champion(args):
         f"rho = {_cell(champ.rho)}",
         f"slope ties at: {ties}",
     ]
-    _emit(args.format, payload, text)
+    _emit(args.format, champ.payload, lambda: text)
 
 
 def _run_window(args):
     x, alpha = args.x, args.alpha
-    if not x > 4:
-        raise DomainError(f"x must exceed 4, got {x}")
+    _check_above("x", x, 4)
     if not 0 < alpha < 0.5:
         raise DomainError(f"alpha must be in (0, 1/2), got {alpha}")
     ctx = sieve_primes(max(math.ceil(x + 4 * x**alpha) + 1, 5))
     champ = build_champion(ctx, x)
     report = window_g(champ, alpha, ctx)
-    top = max(report.window_g)
-    table_ctx = ctx if ctx.limit >= top else _table_ctx(top)
-    table = _load_table(table_ctx, top)
-    payload = report.payload(window_checks(report, table))
-    checks = payload["checks"]
-    text = [
-        f"window at x = {_cell(champ.x)}, alpha = {_cell(alpha)}: "
-        f"N = {champ.N.value()}, n = {champ.n}",
-        "d_sequence: " + " ".join(str(d) for d in report.d_sequence),
-    ]
-    # labelled window_g, not g: where dp_match is false the swap values
-    # deliberately fall short of the table
-    text += [
-        f"window_g({m}) = {fi.value()} = {fi}"
-        for m, fi in sorted(report.window_g.items())
-    ]
-    text.append(
-        "checks: " + " ".join(f"{k}={_cell(v)}" for k, v in checks.items())
-    )
-    _emit(args.format, payload, text)
+    checks = window_checks(report, _table(max(report.window_g)))
+
+    def text():
+        lines = [
+            f"window at x = {_cell(champ.x)}, alpha = {_cell(alpha)}: "
+            f"N = {champ.N.value()}, n = {champ.n}",
+            "d_sequence: " + " ".join(str(d) for d in report.d_sequence),
+        ]
+        # labelled window_g, not g: where dp_match is false the swap values
+        # deliberately fall short of the table
+        lines += [
+            f"window_g({m}) = {fi.value()} = {fi}"
+            for m, fi in sorted(report.window_g.items())
+        ]
+        lines.append("checks: " + " ".join(f"{k}={_cell(v)}" for k, v in checks.items()))
+        return lines
+
+    _emit(args.format, lambda: report.payload(checks), text)
 
 
 def _run_gaps(args):
     x, alpha, epsilon = args.x, args.alpha, args.epsilon
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    # x − x^α > 1, which build_gap_report requires, already implies x > 1
+    _check_above("x", x, 1)
     ctx = sieve_primes(max(math.ceil(x + x**alpha) + 1, 5))
     report = build_gap_report(ctx, x, alpha, epsilon)
-    payload = report.payload()
     text = [
         f"x = {_cell(report.x)}, alpha = {_cell(alpha)}, epsilon = {_cell(epsilon)}",
         "E = " + (" ".join(str(d) for d in report.E) or "empty"),
@@ -248,7 +217,7 @@ def _run_gaps(args):
         f"c2 = {_cell(report.c2)}",
         f"lower_bound_holds = {_cell(report.lower_bound_holds)}",
     ]
-    _emit(args.format, payload, text)
+    _emit(args.format, report.payload, lambda: text)
 
 
 def _run_constants(args):
@@ -277,11 +246,12 @@ def _run_constants(args):
         f"twin product over odd primes <= {limit}: {_cell(twin)}",
         f"f^2 density product over odd primes <= {limit}: {_cell(fsq)}",
     ]
-    _emit(args.format, payload, text)
+    _emit(args.format, lambda: payload, lambda: text)
 
 
 def _run_scan(args):
     xi, alpha, epsilon, samples = args.xi, args.alpha, args.epsilon, args.samples
+    _check_above("xi", xi, 1)  # the grid [ξ, ξ + ξ/log ξ] needs log ξ > 0
     xi_hi = xi + xi / math.log(xi)
     ctx = sieve_primes(max(math.ceil(xi_hi + xi_hi**alpha) + 1, 5))
     fraction = exceptional_measure_scan(ctx, xi, alpha, epsilon, samples)
@@ -300,7 +270,7 @@ def _run_scan(args):
         f"exceptional fraction = {_cell(fraction)}",
         f"comparator 1/log^3 xi = {_cell(comparator)}",
     ]
-    _emit(args.format, payload, text)
+    _emit(args.format, lambda: payload, lambda: text)
 
 
 # ---------------------------------------------------------------- parser

@@ -270,12 +270,13 @@ def gap_statistics(points: IncreasePoints) -> GapStatistics:
 # for g(n) = 1; UTF-8, LF.  Round-trips byte-exact.
 
 
+def factor_token(factors) -> str:
+    """(p, e) pairs as `p1^e1 p2^e2 ...`, or `1` for none: the cache line body."""
+    return " ".join(f"{p}^{e}" for p, e in factors) if factors else "1"
+
+
 def write_table_cache(table: LandauTable, path) -> None:
-    lines = []
-    for n in range(1, table.n_max + 1):
-        fi = table.g(n)
-        body = " ".join(f"{p}^{e}" for p, e in fi.factors) if fi.factors else "1"
-        lines.append(f"{n},{body}")
+    lines = [f"{n},{factor_token(table.g(n).factors)}" for n in range(1, table.n_max + 1)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

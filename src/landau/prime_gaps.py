@@ -120,10 +120,13 @@ def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit >= 1 << 31:
         raise OutOfRangeError(f"limit must be below 2^31, got {limit}")
+    # sieve first: its size guard then refuses before the arrays exist
+    primes = sieve_primes(max(limit, 2)).primes[1:]
     num, den = np.ones((2, limit + 1), dtype=np.int32)
-    for p in sieve_primes(max(limit, 2)).primes[1:]:
+    for p in primes:
         num[p::p] *= p - 1
         den[p::p] *= p - 2
+    del primes  # not held through the Fraction sum, which sets peak memory
     terms = []
     block = 1 << 14  # Python ints one block at a time keep peak memory flat
     for lo in range(1, limit + 1, block):
@@ -220,6 +223,11 @@ def selberg_conditions(
     return c21, c22, slope_separated(x)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < 1:
+        raise DomainError(f"epsilon must be in [0, 1), got {epsilon}")
+
+
 def exceptional_measure_scan(
     ctx: PrimeContext, xi: float, alpha: float, epsilon: float, samples: int
 ) -> float:
@@ -228,6 +236,7 @@ def exceptional_measure_scan(
     asymptotic measure bound."""
     if samples < 10:
         raise DomainError(f"samples must be >= 10, got {samples}")
+    _check_epsilon(epsilon)
     xi_hi = xi + xi / math.log(xi)
     if ctx.limit < xi_hi + xi_hi**alpha:
         raise OutOfRangeError(
@@ -246,8 +255,7 @@ def lower_bound_constant(alpha: float, epsilon: float) -> tuple[Fraction, float]
     safe constant."""
     if not 0 < alpha <= 1:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0 <= epsilon < 1:
-        raise DomainError(f"epsilon must be in [0, 1), got {epsilon}")
+    _check_epsilon(epsilon)
     return C1_EXACT, C1_SAFE * alpha**4 * (1 - epsilon) ** 4
 
 

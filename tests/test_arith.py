@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from landau import arith
 from landau.arith import (
     LOG_TIE_EPS,
+    SIEVE_GUARD,
+    BudgetError,
     DomainError,
     FactoredInteger,
     OutOfRangeError,
@@ -63,6 +66,19 @@ def test_sieve_small():
 def test_sieve_rejects_empty_domain():
     with pytest.raises(DomainError):
         sieve_primes(1)
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError("reached numpy before the size guard")
+
+
+def test_sieve_refuses_limit_past_guard(monkeypatch):
+    monkeypatch.setattr(arith, "np", _NoArrays())
+    with pytest.raises(BudgetError):
+        sieve_primes(SIEVE_GUARD + 1)
+    with pytest.raises(AssertionError):
+        sieve_primes(SIEVE_GUARD)  # the guard itself gets past
 
 
 def test_sieve_against_trial_division():

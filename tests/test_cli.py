@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+from landau.arith import sieve_primes
 from landau.cli import _flatten_payload
-from landau.gtable import read_table_cache, write_table_cache
+from landau.gtable import landau_g, read_table_cache, write_table_cache
 
 CMD = [sys.executable, "-m", "landau"]
 
@@ -18,7 +19,8 @@ def run_cli(*args, cache_dir=None):
     env = {k: v for k, v in os.environ.items() if k != "LANDAU_CACHE_DIR"}
     if cache_dir is not None:
         env["LANDAU_CACHE_DIR"] = str(cache_dir)
-    return subprocess.run([*CMD, *args], capture_output=True, text=True, env=env)
+    # a guard that stops working fails the test instead of running for hours
+    return subprocess.run([*CMD, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def rows_of(csv_text):
@@ -68,6 +70,36 @@ def test_exit_usage_errors():
 
 def test_window_alpha_domain_is_exit_1():
     assert run_cli("window", "--x", "13", "--alpha", "0.6").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        ("champion", "--x", "inf"),
+        ("window", "--x", "inf", "--alpha", "0.4"),
+        ("gaps", "--x", "inf", "--alpha", "0.4", "--epsilon", "0.5"),
+        ("gaps", "--x", "nan", "--alpha", "0.4", "--epsilon", "0.5"),
+        ("scan", "--xi", "inf", "--alpha", "0.4", "--epsilon", "0.5", "--samples", "10"),
+        ("scan", "--xi", "1000", "--alpha", "0.4", "--epsilon", "1.5", "--samples", "10"),
+    ],
+    ids=" ".join,
+)
+def test_domain_refusals_are_exit_1(invocation):
+    out = run_cli(*invocation)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [("champion", "--x", "1e300"), ("constants", "--limit", "1000000000000")],
+    ids=" ".join,
+)
+def test_oversized_sieve_is_exit_2(invocation):
+    out = run_cli(*invocation)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
 
 
 # ---------------------------------------------------------------- csv output
@@ -173,31 +205,18 @@ def test_repeat_runs_are_byte_identical():
 # ---------------------------------------------------------------- table cache
 
 
-def test_cache_dir_roundtrip(tmp_path):
-    first = run_cli("table", "--to", "50", "--format", "csv", cache_dir=tmp_path)
-    assert first.returncode == 0
-    cache_file = tmp_path / "g_table_50.csv"
-    assert cache_file.is_file()
-    again = run_cli("table", "--to", "50", "--format", "csv", cache_dir=tmp_path)
-    assert again.stdout == first.stdout
-
-    # a corrupt cache is rebuilt, not trusted and not fatal
-    cache_file.write_text("garbage\n")
-    healed = run_cli("table", "--to", "50", "--format", "csv", cache_dir=tmp_path)
-    assert healed.returncode == 0
-    assert healed.stdout == first.stdout
-    assert cache_file.read_text().startswith("1,1\n2,2^1\n")
-
-
-def test_truncated_cache_is_rebuilt(tmp_path):
-    assert run_cli("g", "--n", "100", cache_dir=tmp_path).returncode == 0
-    cache_file = tmp_path / "g_table_100.csv"
-    lines = cache_file.read_text().splitlines(keepends=True)
-    cache_file.write_text("".join(lines[:50]))
-    out = run_cli("g", "--n", "100", cache_dir=tmp_path)
+def test_cache_dir_is_ignored(tmp_path):
+    # the CLI always builds its table: a well-formed but wrong cache line is
+    # neither served nor rewritten
+    cache_file = tmp_path / "g_table_30.csv"
+    write_table_cache(landau_g(sieve_primes(29), 29), cache_file)
+    with cache_file.open("a") as f:
+        f.write("30,2^40\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    out = run_cli("g", "--n", "30", cache_dir=tmp_path)
     assert out.returncode == 0
-    assert out.stdout == "g(100) = 232792560 = 2^4·3^2·5·7·11·13·17·19\n"
-    assert len(cache_file.read_text().splitlines()) == 100
+    assert out.stdout == "g(30) = 4620 = 2^2·3·5·7·11\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cache_roundtrip_10k_under_a_second(tmp_path, table_10k):

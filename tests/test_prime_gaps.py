@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from landau import prime_gaps
-from landau.arith import DomainError, OutOfRangeError, prime_count, sieve_primes
+from landau.arith import SIEVE_GUARD, BudgetError, DomainError, OutOfRangeError, prime_count, sieve_primes
 from landau.prime_gaps import (
     C1_EXACT,
     build_gap_report,
@@ -137,6 +137,12 @@ def test_sum_f_squared_refuses_int32_overflow(monkeypatch):
         sum_f_squared_check(2**31 - 1)  # the last limit int32 holds gets past
 
 
+def test_sum_f_squared_refuses_past_sieve_guard(monkeypatch):
+    monkeypatch.setattr(prime_gaps, "np", _NoArrays())
+    with pytest.raises(BudgetError):
+        sum_f_squared_check(SIEVE_GUARD + 1)
+
+
 def test_sum_f_squared_large():
     for limit in (10**3, 10**4):
         s, holds, ratio = sum_f_squared_check(limit)
@@ -215,6 +221,9 @@ def test_scan_trivial_epsilon(ctx_million):
 def test_scan_guards(ctx_million, ctx_small):
     with pytest.raises(DomainError):
         exceptional_measure_scan(ctx_million, 10**5, 0.4, 0.9, 9)
+    for epsilon in (-0.1, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            exceptional_measure_scan(ctx_million, 10**5, 0.4, epsilon, 10)
     with pytest.raises(OutOfRangeError):
         exceptional_measure_scan(ctx_small, 10**4, 0.4, 0.9, 10)
 
