@@ -78,12 +78,6 @@ class FactoredInteger:
                 return e
         return 0
 
-    def multiply(self, other: "FactoredInteger") -> "FactoredInteger":
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInteger(sorted(merged.items()))
-
     def with_exponent(self, p: int, e: int) -> "FactoredInteger":
         """Copy with the exponent of p set to e; e = 0 drops the prime."""
         if e < 0:

@@ -93,7 +93,8 @@ def _emit(fmt: str, payload, text, csv_rows=None) -> None:
     never built; CSV defaults to the flattened payload.
     """
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
+        json.dump(payload(), sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(csv_rows() if csv_rows is not None else _flatten_payload(payload()))
@@ -105,10 +106,10 @@ def _table(n_max: int) -> LandauTable:
     return landau_g(sieve_primes(max(n_max, 3)), n_max)
 
 
-def _check_above(name: str, value: float, low: float) -> None:
+def _check_in(name: str, value: float, low: float, high: float = math.inf) -> None:
     # before any sieve: inf and NaN would otherwise end in math.ceil
-    if not low < value < math.inf:
-        raise DomainError(f"{name} must be finite and exceed {low}, got {value}")
+    if not low < value < high:
+        raise DomainError(f"{name} must be in ({low}, {high}), got {value}")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -125,7 +126,8 @@ def _run_g(args):
 
 
 def _run_table(args):
-    entries = list(enumerate(_table(args.to).values, 1))
+    table = _table(args.to)
+    entries = [(n, table.g(n)) for n in range(1, args.to + 1)]
     _emit(
         args.format,
         lambda: {
@@ -159,7 +161,7 @@ def _run_gamma(args):
 
 def _run_champion(args):
     x = args.x
-    _check_above("x", x, 4)
+    _check_in("x", x, 4)
     ctx = sieve_primes(max(math.ceil(x), 5))
     champ = build_champion(ctx, x)
     ties = " ".join(str(p) for p in champ.tie_flags) or "none"
@@ -174,9 +176,8 @@ def _run_champion(args):
 
 def _run_window(args):
     x, alpha = args.x, args.alpha
-    _check_above("x", x, 4)
-    if not 0 < alpha < 0.5:
-        raise DomainError(f"alpha must be in (0, 1/2), got {alpha}")
+    _check_in("x", x, 4)
+    _check_in("alpha", alpha, 0, 0.5)
     ctx = sieve_primes(max(math.ceil(x + 4 * x**alpha) + 1, 5))
     champ = build_champion(ctx, x)
     report = window_g(champ, alpha, ctx)
@@ -202,10 +203,9 @@ def _run_window(args):
 
 def _run_gaps(args):
     x, alpha, epsilon = args.x, args.alpha, args.epsilon
-    if not 0 < alpha < 1:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    _check_in("alpha", alpha, 0, 1)
     # x − x^α > 1, which build_gap_report requires, already implies x > 1
-    _check_above("x", x, 1)
+    _check_in("x", x, 1)
     ctx = sieve_primes(max(math.ceil(x + x**alpha) + 1, 5))
     report = build_gap_report(ctx, x, alpha, epsilon)
     text = [
@@ -251,7 +251,8 @@ def _run_constants(args):
 
 def _run_scan(args):
     xi, alpha, epsilon, samples = args.xi, args.alpha, args.epsilon, args.samples
-    _check_above("xi", xi, 1)  # the grid [ξ, ξ + ξ/log ξ] needs log ξ > 0
+    _check_in("xi", xi, 1)  # the grid [ξ, ξ + ξ/log ξ] needs log ξ > 0
+    _check_in("alpha", alpha, 0, 1)
     xi_hi = xi + xi / math.log(xi)
     ctx = sieve_primes(max(math.ceil(xi_hi + xi_hi**alpha) + 1, 5))
     fraction = exceptional_measure_scan(ctx, xi, alpha, epsilon, samples)
@@ -341,7 +342,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OutOfRangeError, BudgetError) as exc:
+    except (OutOfRangeError, BudgetError, OverflowError) as exc:
+        # OverflowError: a finite input whose sieve limit overflows a float
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANGE
     return EXIT_OK

@@ -14,7 +14,9 @@ only for primes up to a cutoff B that starts from Grantham's bound
 P⁺(g(n)) ≤ 1.328·√(n log n).  Each run then checks that no prime in (B, n]
 raises any cell, doubling B until none does, so no value rests on the
 citation.  One backtrack over the primes, largest first, reads off the
-exponents of g(n) for every n at once.
+exponents of g(n) for every n at once.  The table keeps them as runs: the
+increase points, where some exponent changes, and one value per run between
+them, so increase points and γ(n) need no comparison.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .arith import (
 )
 
 BRUTE_FORCE_LIMIT = 35
-TABLE_GUARD = 200_000  # memory guard on n_max; override with allow_large
+TABLE_GUARD = 200_000  # memory guard on n_max: landau_g refuses larger tables
 # Grantham, Math. Comp. 64 (1995): P⁺(g(n)) ≤ 1.328·√(n log n); landau_g
 # starts its prime cutoff here and certifies it on every run
 CUTOFF_C = 1.328
@@ -51,22 +53,24 @@ class CacheParseError(ValueError):
 
 @dataclass(frozen=True)
 class LandauTable:
-    """g(1..n_max) as FactoredIntegers; values[n-1] = g(n)."""
+    """g(1..n_max) as runs: g(n) = runs[i] for starts[i] ≤ n < starts[i+1]."""
 
     n_max: int
-    values: list[FactoredInteger]
+    starts: list[int]  # the increase points, starts[0] = 1
+    runs: list[FactoredInteger]
 
     def g(self, n: int) -> FactoredInteger:
         if n == 0:
             return ONE  # convention g(0) = 1
         if not 1 <= n <= self.n_max:
             raise OutOfRangeError(f"n={n} outside table range [1, {self.n_max}]")
-        return self.values[n - 1]
+        return self.runs[bisect_right(self.starts, n) - 1]
 
     def truncate(self, m: int) -> "LandauTable":
         if not 1 <= m <= self.n_max:
             raise OutOfRangeError(f"cannot truncate to m={m} (n_max={self.n_max})")
-        return LandauTable(n_max=m, values=self.values[:m])
+        k = bisect_right(self.starts, m)
+        return LandauTable(n_max=m, starts=self.starts[:k], runs=self.runs[:k])
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def _relax(ctx: PrimeContext, n_max: int):
         bound *= 2
 
 
-def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> LandauTable:
+def landau_g(ctx: PrimeContext, n_max: int) -> LandauTable:
     """Exact table of g(1..n_max) by DP over prime powers.
 
     Requires ctx.limit ≥ n_max: any prime p in an optimal M has ℓ(p^k) = p^k ≤ n.
@@ -213,15 +217,15 @@ def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> Lan
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     if ctx.limit < n_max:
         raise OutOfRangeError(f"prime context limit {ctx.limit} < n_max {n_max}")
-    if n_max > TABLE_GUARD and not allow_large:
-        raise BudgetError(f"n_max={n_max} exceeds guard {TABLE_GUARD}; pass allow_large")
+    if n_max > TABLE_GUARD:
+        raise BudgetError(f"n_max={n_max} exceeds guard {TABLE_GUARD}")
 
     _, primes, choice = _relax(ctx, n_max)
 
     # walk every budget back at once, largest prime first; afterwards
     # choice[i][n] is the exponent of primes[i] in g(n)
     k = np.arange(n_max + 1)
-    fresh = np.zeros(n_max + 1, dtype=bool)  # fresh[n]: g(n) ≠ g(n − 1)
+    fresh = np.zeros(n_max + 1, dtype=bool)  # fresh[n]: g(n) > g(n − 1)
     fresh[1] = True
     for p, row in zip(reversed(primes), reversed(choice)):
         row[:] = row[k]
@@ -237,13 +241,12 @@ def landau_g(ctx: PrimeContext, n_max: int, *, allow_large: bool = False) -> Lan
     es = heads[rows, cols].tolist()
     cuts = np.searchsorted(rows, np.arange(len(starts) + 1)).tolist()
     distinct = [FactoredInteger(zip(ps[a:b], es[a:b])) for a, b in zip(cuts, cuts[1:])]
-    values = [distinct[r] for r in (np.cumsum(fresh[1:]) - 1).tolist()]
-    return LandauTable(n_max=n_max, values=values)
+    return LandauTable(n_max=n_max, starts=starts.tolist(), runs=distinct)
 
 
 def increase_points(table: LandauTable) -> IncreasePoints:
     """n_1 = 1 by convention, then every n ≥ 2 with g(n) > g(n−1)."""
-    pts = [1] + [n for n in range(2, table.n_max + 1) if table.g(n) > table.g(n - 1)]
+    pts = list(table.starts)
     return IncreasePoints(points=pts, gaps=[b - a for a, b in zip(pts, pts[1:])])
 
 
@@ -253,7 +256,7 @@ def gamma(table: LandauTable, n: int) -> int:
         raise DomainError(f"gamma undefined for n={n}")
     if n > table.n_max:
         raise OutOfRangeError(f"n={n} beyond table n_max={table.n_max}")
-    return len(increase_points(table.truncate(n)).points)
+    return bisect_right(table.starts, n)
 
 
 def gap_statistics(points: IncreasePoints) -> GapStatistics:
@@ -281,30 +284,30 @@ def write_table_cache(table: LandauTable, path) -> None:
 
 
 def read_table_cache(path) -> LandauTable:
-    values = []
-    prev_body = None
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    """A line repeating the previous body extends its run; any other line starts
+    a new run, which must exceed the last or it would pose as an increase point."""
+    starts, runs, prev_body = [], [], None
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         try:
             head, _, body = line.partition(",")
-            if int(head) != i:
-                raise ValueError(f"expected n={i}, got {head!r}")
+            if int(head) != n:
+                raise ValueError(f"expected n={n}, got {head!r}")
             if body == prev_body:
-                # runs of equal g(n) share one object, as in DP-built tables
-                values.append(values[-1])
                 continue
             prev_body = body
-            if body == "1":
-                values.append(ONE)
-                continue
             fs = []
-            for tok in body.split(" "):
+            for tok in [] if body == "1" else body.split(" "):
                 ps, sep, es = tok.partition("^")
                 if not sep:
                     raise ValueError(f"malformed prime power {tok!r}")
                 fs.append((int(ps), int(es)))
-            values.append(FactoredInteger(fs))
+            value = FactoredInteger(fs)
+            if runs and not value > runs[-1]:
+                raise ValueError(f"g({n}) = {value} does not exceed g({n - 1}) = {runs[-1]}")
+            starts.append(n)
+            runs.append(value)
         except ValueError as exc:
-            raise CacheParseError(f"line {i}: {exc}") from exc
-    if not values:
+            raise CacheParseError(f"line {n}: {exc}") from exc
+    if not runs:
         raise CacheParseError("line 1: cache file is empty")
-    return LandauTable(n_max=len(values), values=values)
+    return LandauTable(n_max=n, starts=starts, runs=runs)

@@ -26,7 +26,6 @@ from .arith import (
 )
 from .champions import ChampionRecord, benefit
 from .gtable import LandauTable
-from .prime_gaps import slope_separated
 
 CANDIDATE_BUDGET = 10**7
 
@@ -35,7 +34,6 @@ CANDIDATE_BUDGET = 10**7
 class SwapCandidate:
     """One M = N·∏P/∏Q with |P| = |Q| and d = ΣP − ΣQ."""
 
-    base: ChampionRecord
     P_list: tuple[int, ...]
     Q_list: tuple[int, ...]
     d: int
@@ -50,7 +48,6 @@ class WindowReport:
     by_d: dict[int, list[SwapCandidate]]
     window_g: dict[int, FactoredInteger]
     d_sequence: list[int]
-    slope_separation: bool  # the c23 predicate at x; reported, never gating
 
     def payload(self, checks: dict) -> dict:
         n = self.champion.n
@@ -125,7 +122,7 @@ def enumerate_B(
 
     # distinct (P, Q) give distinct M: P sets differ in the primes above x, Q
     # sets in the primes at most x removed from N, so no candidate repeats
-    out = [SwapCandidate(base=champ, P_list=(), Q_list=(), d=0, value=champ.N)]
+    out = [SwapCandidate(P_list=(), Q_list=(), d=0, value=champ.N)]
     for r in range(1, r_max + 1):
         max_q_sum = sum(qs[-r:])
         for P in combinations(ps, r):
@@ -136,7 +133,7 @@ def enumerate_B(
                 d = sp - sum(Q)
                 if 0 <= d <= d_max:
                     value = _swap_value(champ.N, P, Q)
-                    out.append(SwapCandidate(base=champ, P_list=P, Q_list=Q, d=d, value=value))
+                    out.append(SwapCandidate(P_list=P, Q_list=Q, d=d, value=value))
     return out
 
 
@@ -165,7 +162,6 @@ def assemble_report(
         by_d=by_d,
         window_g=window,
         d_sequence=d_sequence,
-        slope_separation=slope_separated(champ.x),
     )
 
 

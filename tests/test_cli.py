@@ -81,6 +81,8 @@ def test_window_alpha_domain_is_exit_1():
         ("gaps", "--x", "nan", "--alpha", "0.4", "--epsilon", "0.5"),
         ("scan", "--xi", "inf", "--alpha", "0.4", "--epsilon", "0.5", "--samples", "10"),
         ("scan", "--xi", "1000", "--alpha", "0.4", "--epsilon", "1.5", "--samples", "10"),
+        ("scan", "--xi", "1000", "--alpha", "-0.4", "--epsilon", "0.5", "--samples", "10"),
+        ("scan", "--xi", "1e200", "--alpha", "2", "--epsilon", "0.5", "--samples", "10"),
     ],
     ids=" ".join,
 )
@@ -93,13 +95,20 @@ def test_domain_refusals_are_exit_1(invocation):
 
 @pytest.mark.parametrize(
     "invocation",
-    [("champion", "--x", "1e300"), ("constants", "--limit", "1000000000000")],
+    [
+        ("champion", "--x", "1e300"),
+        ("constants", "--limit", "1000000000000"),
+        # finite inputs whose sieve limit overflows a float
+        ("gaps", "--x", "1.7e308", "--alpha", "0.9999", "--epsilon", "0.5"),
+        ("scan", "--xi", "1.7e308", "--alpha", "0.9999", "--epsilon", "0.5", "--samples", "10"),
+    ],
     ids=" ".join,
 )
 def test_oversized_sieve_is_exit_2(invocation):
     out = run_cli(*invocation)
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
 
 
 # ---------------------------------------------------------------- csv output
@@ -225,6 +234,5 @@ def test_cache_roundtrip_10k_under_a_second(tmp_path, table_10k):
     write_table_cache(table_10k, path)
     loaded = read_table_cache(path)
     elapsed = time.perf_counter() - start
-    assert loaded.n_max == table_10k.n_max
-    assert loaded.values == table_10k.values
+    assert loaded == table_10k
     assert elapsed < 1.0

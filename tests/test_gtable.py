@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau import gtable
+from landau import arith, gtable
 from landau.arith import (
     LOG_TIE_EPS,
     BudgetError,
@@ -59,22 +59,23 @@ def test_dp_examples(table_10k):
 
 
 def test_table_monotone(table_10k):
-    vals = table_10k.values
-    assert all(compare_factored(vals[i], vals[i + 1]) <= 0 for i in range(len(vals) - 1))
+    runs = table_10k.runs
+    assert table_10k.starts[0] == 1 and len(runs) == len(table_10k.starts)
+    assert all(compare_factored(a, b) < 0 for a, b in zip(runs, runs[1:]))
 
 
 def test_table_feasibility(table_10k):
     assert all(ell(table_10k.g(n)) <= n for n in range(1, table_10k.n_max + 1))
 
 
-def test_dp_guards(ctx_small):
+def test_dp_guards(ctx_small, table_10k):
     with pytest.raises(OutOfRangeError):
         landau_g(ctx_small, 10**4 + 1)  # prime context too small
     big = sieve_primes(200_001)
     with pytest.raises(BudgetError):
         landau_g(big, 200_001)
-    # the flag only lifts the guard; semantics unchanged
-    assert landau_g(big, 50, allow_large=True).g(50).value() == 180180
+    # a context past the guard changes nothing below it
+    assert landau_g(big, 50) == table_10k.truncate(50)
 
 
 def _sha256_of_cache(table, path):
@@ -112,7 +113,7 @@ def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, table_10k, eps):
     exact = gtable._exact
     monkeypatch.setattr(gtable, "_exact", counting_exact)
     monkeypatch.setattr(gtable, "LOG_TIE_EPS", eps)
-    assert landau_g(ctx_small, 3000).values == table_10k.values[:3000]
+    assert landau_g(ctx_small, 3000) == table_10k.truncate(3000)
     assert len(walks) > 2000  # two or more exact candidates per repaired cell
 
 
@@ -127,7 +128,7 @@ def test_cutoff_fallback_keeps_table(monkeypatch, ctx_small, table_10k):
     check = gtable._cutoff_holds
     monkeypatch.setattr(gtable, "_cutoff_holds", recording_check)
     monkeypatch.setattr(gtable, "CUTOFF_C", 0.01)
-    assert landau_g(ctx_small, 3000).values == table_10k.values[:3000]
+    assert landau_g(ctx_small, 3000) == table_10k.truncate(3000)
     assert verdicts[0] is False and verdicts[-1] is True
 
 
@@ -143,12 +144,16 @@ def test_g50_known_value(table_10k):
     assert table_10k.g(50).value() == 180180  # 2^2·3^2·5·7·11·13
 
 
-def test_truncate(table_10k):
+def test_truncate(ctx_small, table_10k):
     t = table_10k.truncate(100)
     assert t.n_max == 100
     assert t.g(100) == table_10k.g(100)
     with pytest.raises(OutOfRangeError):
         t.g(101)
+    # a cut at an increase point, one before it, and at n = 1 is the smaller DP
+    nk = table_10k.starts[bisect_right(table_10k.starts, 5000) - 1]
+    for m in (nk, nk - 1, 1):
+        assert landau_g(ctx_small, m) == table_10k.truncate(m)
 
 
 # ---------------------------------------------------------------- increase points / gamma
@@ -173,6 +178,17 @@ def test_increase_points_are_exactly_the_increases(table_10k):
     ]
     assert ip.points == expected
     assert ip.gaps == [b - a for a, b in zip(ip.points, ip.points[1:])]
+
+
+def test_increase_points_and_gamma_make_no_comparison(monkeypatch, table_10k):
+    # the DP hands over its increase points; nothing compares values again
+    def refuse(a, b):
+        raise AssertionError("compare_factored called")
+
+    monkeypatch.setattr(arith, "compare_factored", refuse)
+    points = increase_points(table_10k).points
+    assert points[:10] == [1, 2, 3, 4, 5, 7, 8, 9, 10, 12]
+    assert [gamma(table_10k, n) for n in (1, 7, 11, 10**4)] == [1, 6, 9, len(points)]
 
 
 def test_champion_ell_at_increase_points(table_10k):
@@ -237,12 +253,7 @@ def test_cache_round_trip(tmp_path, table_10k):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_table_cache(t, p1)
     back = read_table_cache(p1)
-    assert back.n_max == t.n_max
-    assert back.values == t.values
-    # equal rows come back as one shared object, as the DP builds them
-    assert all(
-        (a is b) == (a == b) for a, b in zip(back.values, back.values[1:])
-    )
+    assert back == t
     write_table_cache(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -263,4 +274,11 @@ def test_cache_parse_errors(tmp_path):
         read_table_cache(bad)
     bad.write_text("")
     with pytest.raises(CacheParseError):
+        read_table_cache(bad)
+    # a new run must exceed the last, or it would pose as an increase point
+    bad.write_text("1,1\n2,2^1\n3,3^1\n4,2^1\n")  # g(4) = 2 < g(3) = 3
+    with pytest.raises(CacheParseError, match="line 4"):
+        read_table_cache(bad)
+    bad.write_text("1,1\n2,2^1\n3,02^1\n")  # a new body, but the same value
+    with pytest.raises(CacheParseError, match="line 3"):
         read_table_cache(bad)

@@ -199,6 +199,7 @@ def test_slope_separated_is_selberg_c23(ctx_million):
         assert slope_separated(x) is expected
         assert selberg_conditions(ctx_million, x, 0.45, 0.5)[2] is expected
     assert not slope_separated(16)  # the slope of 2³, 4/log 2, is ρ = 16/log 16
+    assert slope_separated(13)  # nearest slope 3², distance 0.394, margin 0.083
 
 
 def test_scan_deterministic(ctx_million):

@@ -180,11 +180,6 @@ def test_eq52_bound(rep13, rep31, rep100, rep101):
         assert eq52_bound_holds(rep)
 
 
-def test_slope_separation_flag(rep13):
-    # nearest slope at 13 is 3^2 at distance 0.394, margin 0.083
-    assert rep13.slope_separation is True
-
-
 # ---------------------------------------------------------------- DP comparison
 
 
