@@ -18,15 +18,18 @@ import numpy as np
 # slack decides corner-slope ties in champions and bounds the float error
 # allowed in the eq. 5.2 benefit check of windows.  The largest
 # float logs compared are the g-table DP's cells: each is a sum of at most
-# π(B) positive rounded terms e·log p (B the DP's prime cutoff), so its error
-# stays below about π(B)·2⁻⁵²·log g(n).  At n = 10⁴ that is 79·2⁻⁵²·315 ≈
-# 5.5e-12; at TABLE_GUARD = 2·10⁵ it is 312·2⁻⁵²·1643 ≈ 1.1e-10, so two cells
-# compared still sit well inside the margin.  FactoredInteger.log_value is an
-# fsum, correct to about one ulp.
+# k positive rounded terms e·log p, k the number of primes the DP relaxes, so
+# its error stays below about k·2⁻⁵²·log g(n).  At n = 10⁴ that is
+# 70·2⁻⁵²·315 ≈ 4.9e-12; at TABLE_GUARD = 2·10⁵ it is 263·2⁻⁵²·1643 ≈ 9.6e-11,
+# so two cells compared still sit well inside the margin.
+# FactoredInteger.log_value is an fsum, correct to about one ulp.
 LOG_TIE_EPS = 1e-9
 # largest sieve limit: at 10⁸ the list of 5.8 million primes alone takes about
 # 200 MB, and no caller here sieves past 10⁷
 SIEVE_GUARD = 10**8
+# largest trial divisor factorize tries: about a second of trial division; a
+# cofactor that outlasts it is neither below 10¹⁴ nor proven prime
+TRIAL_DIVISION_GUARD = 10**7
 
 
 class DomainError(ValueError):
@@ -132,12 +135,7 @@ def sieve_primes(limit: int) -> PrimeContext:
     if limit > SIEVE_GUARD:
         raise BudgetError(f"sieve limit {limit} exceeds guard {SIEVE_GUARD}")
     root = math.isqrt(limit)
-    base = np.ones(root + 1, dtype=bool)
-    base[: min(2, root + 1)] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    base_primes = [int(p) for p in np.flatnonzero(base)]
+    base_primes = sieve_primes(root).primes if root >= 2 else []
 
     primes: list[int] = []
     seg = 1 << 20
@@ -177,7 +175,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n ≥ 1 as (p, e) pairs, primes ascending.
 
     Trial division; a large cofactor that Miller–Rabin proves prime ends the
-    search at once.
+    search at once, and one with no factor up to TRIAL_DIVISION_GUARD is
+    refused.
     """
     if n < 1:
         raise DomainError(f"cannot factorize n={n}")
@@ -185,6 +184,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     d = 2
     proven = _proven_prime(n)
     while not proven and d * d <= n:
+        if d > TRIAL_DIVISION_GUARD:
+            raise BudgetError(f"no factor of {n} up to {TRIAL_DIVISION_GUARD}, and not proven prime")
         if n % d == 0:
             e = 0
             while n % d == 0:

@@ -65,14 +65,14 @@ def _exponent_with_tie(p: int, rho: float) -> tuple[int, bool]:
 
 def champion_exponent(p: int, rho: float) -> int:
     """Largest k ≥ 0 whose corner slope stays ≤ ρ; ties take the larger k."""
-    if rho <= RHO_MIN:
+    if not rho > RHO_MIN:
         raise DomainError(f"rho must exceed 2/log 2 ≈ {RHO_MIN:.4f}, got {rho}")
     return _exponent_with_tie(p, rho)[0]
 
 
 def build_champion(ctx: PrimeContext, x: float) -> ChampionRecord:
     """N_ρ at ρ = x/log x, over all primes p ≤ x."""
-    if x <= 4:
+    if not x > 4:
         raise DomainError(f"x must exceed 4, got {x}")
     if ctx.limit < x:
         raise OutOfRangeError(f"prime context limit {ctx.limit} < x = {x}")

@@ -222,8 +222,6 @@ def _run_gaps(args):
 
 def _run_constants(args):
     limit, alpha, epsilon = args.limit, args.alpha, args.epsilon
-    if limit < 3:
-        raise DomainError(f"limit must be at least 3, got {limit}")
     c1, c2 = lower_bound_constant(alpha, epsilon)
     ctx = sieve_primes(limit)
     twin, fsq = euler_products(ctx, limit)

@@ -9,11 +9,10 @@ monotone in j, so budget slack never needs a separate pass.
 
 Floats decide a cell only when its best candidate beats the runner-up by at
 least LOG_TIE_EPS; every other cell is settled in exact big integers, whose
-values come from walking back the stored choice rows.  Choice rows are kept
-only for primes up to a cutoff B that starts from Grantham's bound
-P⁺(g(n)) ≤ 1.328·√(n log n).  Each run then checks that no prime in (B, n]
-raises any cell, doubling B until none does, so no value rests on the
-citation.  One backtrack over the primes, largest first, reads off the
+values come from walking back the stored choice rows.  Every prime ≤ √n is
+relaxed; a larger prime is relaxed only when the current row shows that it
+can raise some cell, and choice rows are kept only for the primes relaxed.
+One backtrack over the primes relaxed, largest first, reads off the
 exponents of g(n) for every n at once.  The table keeps them as runs: the
 increase points, where some exponent changes, and one value per run between
 them, so increase points and γ(n) need no comparison.
@@ -42,9 +41,6 @@ from .arith import (
 
 BRUTE_FORCE_LIMIT = 35
 TABLE_GUARD = 200_000  # memory guard on n_max: landau_g refuses larger tables
-# Grantham, Math. Comp. 64 (1995): P⁺(g(n)) ≤ 1.328·√(n log n); landau_g
-# starts its prime cutoff here and certifies it on every run
-CUTOFF_C = 1.328
 
 
 class CacheParseError(ValueError):
@@ -169,43 +165,35 @@ def _relax_prime(logs, p: int, primes: list[int], choice: list[np.ndarray], eps:
     return best
 
 
-def _cutoff_holds(logs, rest: list[int], eps: float) -> bool:
-    """True when no prime q in `rest` raises any cell of the row `logs`.
-
-    Every q in `rest` exceeds √n, so only q¹ fits a budget, and q passes when
-    logs[j] − logs[j − q] ≥ log q + eps for every j ≥ q.  Then no product of
-    such primes raises a cell either: each one in turn loses to the table.
-    """
-    i = 0
-    while i < len(rest):
-        q = rest[i]
-        gain = float(np.min(logs[q:] - logs[:-q]))
-        if gain < math.log(q) + eps:
-            return False
-        # the row is nondecreasing, so the least gain only grows with q: this
-        # one also passes every larger prime q' with log q' ≤ gain − eps
-        i = bisect_right(rest, gain - eps, lo=i + 1, key=math.log)
-    return True
-
-
 def _relax(ctx: PrimeContext, n_max: int):
     """Float logs of g(0..n_max), the primes relaxed, and their choice rows.
 
-    Relaxes the primes up to the cutoff B, doubling B until _cutoff_holds
-    certifies that the primes above it change no cell.
+    One pass over the primes ≤ n_max, ascending.  Every prime ≤ √n_max is
+    relaxed.  A larger prime q fits a budget only as q¹, so it raises no cell
+    when gain = min over j ≥ q of logs[j] − logs[j − q] is ≥ log q + eps; then
+    q is skipped, with every later prime q' with log q' ≤ gain − eps.  A skip
+    is final.  Relaxing any later prime is a max-plus update that includes the
+    zero-cost option, so it keeps logs[j] − logs[j − q] ≥ log q + eps, up to a
+    float error of about 10⁻¹¹, far below eps.  And the row is nondecreasing,
+    so the least gain only grows with q.
     """
     eps = LOG_TIE_EPS
     ps = ctx.primes[: bisect_right(ctx.primes, n_max)]
-    bound = max(math.isqrt(n_max) + 1, math.ceil(CUTOFF_C * math.sqrt(n_max * math.log(n_max))))
+    root = math.isqrt(n_max)
     logs = np.zeros(n_max + 1)
     primes: list[int] = []
     choice: list[np.ndarray] = []
-    while True:
-        for p in ps[len(primes) : bisect_right(ps, bound)]:
-            logs = _relax_prime(logs, p, primes, choice, eps)
-        if _cutoff_holds(logs, ps[len(primes) :], eps):
-            return logs, primes, choice
-        bound *= 2
+    i = 0
+    while i < len(ps):
+        q = ps[i]
+        if q > root:
+            gain = float(np.min(logs[q:] - logs[:-q]))
+            if gain >= math.log(q) + eps:
+                i = bisect_right(ps, gain - eps, lo=i + 1, key=math.log)
+                continue
+        logs = _relax_prime(logs, q, primes, choice, eps)
+        i += 1
+    return logs, primes, choice
 
 
 def landau_g(ctx: PrimeContext, n_max: int) -> LandauTable:

@@ -69,8 +69,9 @@ class GapReport:
 
 def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], dict[int, int]]:
     """Exact E and r(d) by double loop over the two prime windows."""
+    _check_alpha(alpha)
     w = x**alpha
-    if x - w <= 1:
+    if not x - w > 1:
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
     if ctx.limit < x + w:
         raise OutOfRangeError(f"sieve limit {ctx.limit} < x + x^α = {x + w}")
@@ -158,6 +159,9 @@ def euler_products(ctx: PrimeContext, limit: int) -> tuple[float, float]:
 
 def _interval_counts(ctx: PrimeContext, x: float, alpha: float) -> tuple[int, int, float]:
     """π(x+x^α) − π(x), π(x) − π(x−x^α), and x^α."""
+    _check_alpha(alpha)
+    if not x > 1:
+        raise DomainError(f"x must exceed 1, got {x}")
     w = x**alpha
     upper = prime_count(ctx, x + w) - prime_count(ctx, x)
     lower = prime_count(ctx, x) - prime_count(ctx, x - w)
@@ -180,6 +184,8 @@ def nearest_slope(x: float) -> tuple[int, int, float]:
     Only slopes ≤ x/log x + √x matter: beyond that the distance already
     exceeds √x ≥ the slope-separation margin √x/log⁴x.
     """
+    if not x > 1:
+        raise DomainError(f"x must exceed 1, got {x}")
     rho = x / math.log(x)
     bound = rho + math.sqrt(x)
     best = (0, 0, math.inf)
@@ -223,6 +229,11 @@ def selberg_conditions(
     return c21, c22, slope_separated(x)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def _check_epsilon(epsilon: float) -> None:
     if not 0 <= epsilon < 1:
         raise DomainError(f"epsilon must be in [0, 1), got {epsilon}")
@@ -237,6 +248,7 @@ def exceptional_measure_scan(
     if samples < 10:
         raise DomainError(f"samples must be >= 10, got {samples}")
     _check_epsilon(epsilon)
+    _check_alpha(alpha)
     xi_hi = xi + xi / math.log(xi)
     if ctx.limit < xi_hi + xi_hi**alpha:
         raise OutOfRangeError(

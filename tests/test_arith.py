@@ -138,6 +138,13 @@ def test_factorize_large_n():
         factorize(0)
 
 
+@pytest.mark.parametrize("fn", [factorize, moebius])
+def test_unproven_large_cofactor_refused(fn):
+    # 2⁸⁹ − 1 is prime, but past the Miller–Rabin range and far past trial division
+    with pytest.raises(BudgetError):
+        fn(2**89 - 1)
+
+
 # ---------------------------------------------------------------- moebius
 
 

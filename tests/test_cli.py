@@ -83,6 +83,8 @@ def test_window_alpha_domain_is_exit_1():
         ("scan", "--xi", "1000", "--alpha", "0.4", "--epsilon", "1.5", "--samples", "10"),
         ("scan", "--xi", "1000", "--alpha", "-0.4", "--epsilon", "0.5", "--samples", "10"),
         ("scan", "--xi", "1e200", "--alpha", "2", "--epsilon", "0.5", "--samples", "10"),
+        ("constants", "--limit", "1"),  # refused by sieve_primes
+        ("constants", "--limit", "2"),  # refused by euler_products
     ],
     ids=" ".join,
 )

@@ -2,6 +2,7 @@ import hashlib
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,19 +118,17 @@ def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, table_10k, eps):
     assert len(walks) > 2000  # two or more exact candidates per repaired cell
 
 
-def test_cutoff_fallback_keeps_table(monkeypatch, ctx_small, table_10k):
-    # a cutoff far below the largest prime of g(n) must fail its check and grow
-    verdicts = []
-
-    def recording_check(logs, rest, eps):
-        verdicts.append(check(logs, rest, eps))
-        return verdicts[-1]
-
-    check = gtable._cutoff_holds
-    monkeypatch.setattr(gtable, "_cutoff_holds", recording_check)
-    monkeypatch.setattr(gtable, "CUTOFF_C", 0.01)
-    assert landau_g(ctx_small, 3000) == table_10k.truncate(3000)
-    assert verdicts[0] is False and verdicts[-1] is True
+def test_skipped_primes_change_nothing(ctx_small):
+    # relaxing every prime ≤ n, none skipped, gives the same row bit for bit
+    n = 3000
+    logs, every, choice = np.zeros(n + 1), [], []
+    for p in ctx_small.primes[: bisect_right(ctx_small.primes, n)]:
+        logs = gtable._relax_prime(logs, p, every, choice, LOG_TIE_EPS)
+    got, relaxed, _ = gtable._relax(ctx_small, n)
+    assert np.array_equal(got, logs)
+    small = every[: bisect_right(every, math.isqrt(n))]
+    assert relaxed[: len(small)] == small
+    assert len(relaxed) < len(every) == 430
 
 
 def test_dp_log_error_far_below_tie_eps(ctx_small, table_10k):

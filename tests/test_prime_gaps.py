@@ -6,6 +6,7 @@ import pytest
 
 from landau import prime_gaps
 from landau.arith import SIEVE_GUARD, BudgetError, DomainError, OutOfRangeError, prime_count, sieve_primes
+from landau.champions import build_champion, champion_exponent
 from landau.prime_gaps import (
     C1_EXACT,
     build_gap_report,
@@ -227,6 +228,32 @@ def test_scan_guards(ctx_million, ctx_small):
             exceptional_measure_scan(ctx_million, 10**5, 0.4, epsilon, 10)
     with pytest.raises(OutOfRangeError):
         exceptional_measure_scan(ctx_small, 10**4, 0.4, 0.9, 10)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: exceptional_measure_scan(ctx, 1000, -0.4, 0.5, 10),
+        lambda ctx: exceptional_measure_scan(ctx, NAN, 0.4, 0.5, 10),
+        lambda ctx: difference_set(ctx, 1000, -0.4),
+        lambda ctx: difference_set(ctx, NAN, 0.45),
+        lambda ctx: sieve_bound_report(ctx, 1000, -0.4),
+        lambda ctx: hypothesis_31_32(ctx, 1000, -0.4, 0.5),
+        lambda ctx: hypothesis_31_32(ctx, NAN, 0.4, 0.5),
+        lambda ctx: selberg_conditions(ctx, 1000, -0.4, 0.5),
+        lambda ctx: selberg_conditions(ctx, NAN, 0.4, 0.5),
+        lambda ctx: nearest_slope(NAN),
+        lambda ctx: build_champion(ctx, NAN),
+        lambda ctx: champion_exponent(3, NAN),
+    ],
+)
+def test_alpha_and_nan_x_refused(ctx_small, call):
+    # each of these returned a wrong answer or looped until it overflowed
+    with pytest.raises(DomainError):
+        call(ctx_small)
 
 
 # ---------------------------------------------------------------- constants
