@@ -117,9 +117,6 @@ class FactoredInteger:
         return f"FactoredInteger({self})"
 
 
-ONE = FactoredInteger()
-
-
 @dataclass(frozen=True)
 class PrimeContext:
     """All primes ≤ limit, increasing."""
@@ -151,10 +148,18 @@ def sieve_primes(limit: int) -> PrimeContext:
 
 
 def prime_count(ctx: PrimeContext, x) -> int:
-    """π(x) = #{p ≤ x}; x may be real but must not exceed the sieve limit."""
+    """π(x) = #{p ≤ x} for real x up to the sieve limit: the one place that
+    checks a prime interval against the sieve."""
+    if x != x:
+        raise DomainError("π(x) undefined for x = nan")
     if x > ctx.limit:
         raise OutOfRangeError(f"x={x} exceeds sieve limit {ctx.limit}")
     return bisect_right(ctx.primes, x)
+
+
+def primes_between(ctx: PrimeContext, lo, hi) -> list[int]:
+    """The primes counted by π(hi) − π(lo): lo < p ≤ hi, increasing."""
+    return ctx.primes[prime_count(ctx, lo) : prime_count(ctx, hi)]
 
 
 def _proven_prime(n: int) -> bool:

@@ -11,7 +11,6 @@ champion-hood, prime by prime.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .arith import (
@@ -21,6 +20,7 @@ from .arith import (
     OutOfRangeError,
     PrimeContext,
     ell,
+    primes_between,
 )
 from .gtable import LandauTable
 
@@ -74,11 +74,9 @@ def build_champion(ctx: PrimeContext, x: float) -> ChampionRecord:
     """N_ρ at ρ = x/log x, over all primes p ≤ x."""
     if not x > 4:
         raise DomainError(f"x must exceed 4, got {x}")
-    if ctx.limit < x:
-        raise OutOfRangeError(f"prime context limit {ctx.limit} < x = {x}")
     rho = x / math.log(x)
     fs, ties = [], []
-    for p in ctx.primes[: bisect_right(ctx.primes, x)]:
+    for p in primes_between(ctx, 0, x):
         e, tie = _exponent_with_tie(p, rho)
         if tie:
             ties.append(p)
@@ -112,8 +110,6 @@ def benefit_by_prime(champ: ChampionRecord, M: FactoredInteger) -> dict[int, flo
 
 def verify_membership_in_G(champ: ChampionRecord, table: LandauTable) -> bool:
     """True iff g(n) = N at n = ℓ(N) — the computable face of champion-hood."""
-    if table.n_max < champ.n:
-        raise OutOfRangeError(f"table n_max={table.n_max} < champion n={champ.n}")
     return table.g(champ.n) == champ.N
 
 
@@ -141,10 +137,7 @@ def attain_largest_prime_factor(ctx: PrimeContext, p: int, table: LandauTable) -
     For p ≥ 5 the champion at x = p does it (its top prime is p and champions
     are g-values); g(2) = 2 and g(3) = 3 settle p ∈ {2, 3}.
     """
-    if p > ctx.limit:
-        raise OutOfRangeError(f"p={p} exceeds prime context limit {ctx.limit}")
-    i = bisect_left(ctx.primes, p)
-    if i == len(ctx.primes) or ctx.primes[i] != p:
+    if primes_between(ctx, p - 1, p) != [p]:
         raise DomainError(f"p={p} is not prime")
     if p in (2, 3):
         n = p

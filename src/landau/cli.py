@@ -16,7 +16,6 @@ from .arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, s
 from .champions import build_champion
 from .gtable import LandauTable, factor_token, gamma, increase_points, landau_g
 from .prime_gaps import (
-    C1_EXACT,
     C1_SAFE,
     build_gap_report,
     euler_products,

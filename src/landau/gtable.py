@@ -30,13 +30,13 @@ import numpy as np
 
 from .arith import (
     LOG_TIE_EPS,
-    ONE,
     BudgetError,
     DomainError,
     FactoredInteger,
     OutOfRangeError,
     PrimeContext,
     factorize,
+    primes_between,
 )
 
 BRUTE_FORCE_LIMIT = 35
@@ -56,8 +56,6 @@ class LandauTable:
     runs: list[FactoredInteger]
 
     def g(self, n: int) -> FactoredInteger:
-        if n == 0:
-            return ONE  # convention g(0) = 1
         if not 1 <= n <= self.n_max:
             raise OutOfRangeError(f"n={n} outside table range [1, {self.n_max}]")
         return self.runs[bisect_right(self.starts, n) - 1]
@@ -178,7 +176,7 @@ def _relax(ctx: PrimeContext, n_max: int):
     so the least gain only grows with q.
     """
     eps = LOG_TIE_EPS
-    ps = ctx.primes[: bisect_right(ctx.primes, n_max)]
+    ps = primes_between(ctx, 0, n_max)
     root = math.isqrt(n_max)
     logs = np.zeros(n_max + 1)
     primes: list[int] = []
@@ -203,8 +201,6 @@ def landau_g(ctx: PrimeContext, n_max: int) -> LandauTable:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if ctx.limit < n_max:
-        raise OutOfRangeError(f"prime context limit {ctx.limit} < n_max {n_max}")
     if n_max > TABLE_GUARD:
         raise BudgetError(f"n_max={n_max} exceeds guard {TABLE_GUARD}")
 

@@ -20,11 +20,13 @@ from itertools import combinations
 import numpy as np
 
 from .arith import (
+    SIEVE_GUARD,
     DomainError,
     OutOfRangeError,
     PrimeContext,
     factorize,
     prime_count,
+    primes_between,
     sieve_primes,
 )
 
@@ -73,10 +75,7 @@ def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int]
     w = x**alpha
     if not x - w > 1:
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
-    if ctx.limit < x + w:
-        raise OutOfRangeError(f"sieve limit {ctx.limit} < x + x^α = {x + w}")
-    lo, mid, hi = (prime_count(ctx, t) for t in (x - w, x, x + w))
-    qs, ps = ctx.primes[lo:mid], ctx.primes[mid:hi]
+    qs, ps = primes_between(ctx, x - w, x), primes_between(ctx, x, x + w)
     r: dict[int, int] = {}
     for p in ps:
         for q in qs:
@@ -122,7 +121,7 @@ def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
     if limit >= 1 << 31:
         raise OutOfRangeError(f"limit must be below 2^31, got {limit}")
     # sieve first: its size guard then refuses before the arrays exist
-    primes = sieve_primes(max(limit, 2)).primes[1:]
+    primes = primes_between(sieve_primes(max(limit, 2)), 2, limit)
     num, den = np.ones((2, limit + 1), dtype=np.int32)
     for p in primes:
         num[p::p] *= p - 1
@@ -147,11 +146,9 @@ def euler_products(ctx: PrimeContext, limit: int) -> tuple[float, float]:
     ∏(1 − 1/(p−1)²)  and  ∏(1 + (2p−3)/(p(p−2)²))."""
     if limit < 3:
         raise DomainError(f"limit must be >= 3, got {limit}")
-    if limit > ctx.limit:
-        raise OutOfRangeError(f"limit {limit} exceeds sieve limit {ctx.limit}")
     twin_style = 1.0
     fsq_density = 1.0
-    for p in ctx.primes[1 : prime_count(ctx, limit)]:
+    for p in primes_between(ctx, 2, limit):
         twin_style *= 1 - 1 / (p - 1) ** 2
         fsq_density *= 1 + (2 * p - 3) / (p * (p - 2) ** 2)
     return twin_style, fsq_density
@@ -163,8 +160,8 @@ def _interval_counts(ctx: PrimeContext, x: float, alpha: float) -> tuple[int, in
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     w = x**alpha
-    upper = prime_count(ctx, x + w) - prime_count(ctx, x)
-    lower = prime_count(ctx, x) - prime_count(ctx, x - w)
+    upper = len(primes_between(ctx, x, x + w))
+    lower = len(primes_between(ctx, x - w, x))
     return upper, lower, w
 
 
@@ -182,28 +179,24 @@ def nearest_slope(x: float) -> tuple[int, int, float]:
     closest to x/log x; returns (Q, k, distance).
 
     Only slopes ≤ x/log x + √x matter: beyond that the distance already
-    exceeds √x ≥ the slope-separation margin √x/log⁴x.
+    exceeds √x ≥ the slope-separation margin √x/log⁴x.  The Q² slope grows with
+    Q, so one sieve to the first power of two past the bound holds every Q.
     """
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     rho = x / math.log(x)
     bound = rho + math.sqrt(x)
+    top = 2
+    while top <= SIEVE_GUARD and (top * top - top) / math.log(top) <= bound:
+        top *= 2
     best = (0, 0, math.inf)
-    q = 2
-    while True:
+    for q in sieve_primes(top).primes:
         lq = math.log(q)
-        if (q * q - q) / lq > bound:
-            break
-        if factorize(q) == [(q, 1)]:
-            k = 2
-            while True:
-                s = (q**k - q ** (k - 1)) / lq
-                if s > bound:
-                    break
-                if abs(rho - s) < best[2]:
-                    best = (q, k, abs(rho - s))
-                k += 1
-        q += 1
+        k = 2
+        while (s := (q**k - q ** (k - 1)) / lq) <= bound:
+            if abs(rho - s) < best[2]:
+                best = (q, k, abs(rho - s))
+            k += 1
     return best
 
 
@@ -249,11 +242,10 @@ def exceptional_measure_scan(
         raise DomainError(f"samples must be >= 10, got {samples}")
     _check_epsilon(epsilon)
     _check_alpha(alpha)
+    if not xi > 1:
+        raise DomainError(f"xi must exceed 1, got {xi}")
     xi_hi = xi + xi / math.log(xi)
-    if ctx.limit < xi_hi + xi_hi**alpha:
-        raise OutOfRangeError(
-            f"sieve limit {ctx.limit} < {xi_hi + xi_hi ** alpha:.0f} needed for the scan"
-        )
+    prime_count(ctx, xi_hi + xi_hi**alpha)  # refuses a scan past the sieve up front
     failures = 0
     for i in range(samples):
         t = xi + (xi_hi - xi) * i / (samples - 1)

@@ -12,7 +12,6 @@ d gives g(n + d) = max B_d and makes the window's increase points exactly
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,8 +20,8 @@ from .arith import (
     BudgetError,
     DomainError,
     FactoredInteger,
-    OutOfRangeError,
     PrimeContext,
+    primes_between,
 )
 from .champions import ChampionRecord, benefit
 from .gtable import LandauTable
@@ -75,12 +74,8 @@ def surrounding_primes(
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     w = 4 * x**alpha
-    if ctx.limit < x + w:
-        raise OutOfRangeError(f"sieve limit {ctx.limit} < x + 4x^α = {x + w}")
-    lo, mid, hi = x - w, x, x + w
-    qs = ctx.primes[bisect_left(ctx.primes, math.ceil(lo)) : bisect_right(ctx.primes, mid)]
-    ps = ctx.primes[bisect_right(ctx.primes, mid) : bisect_right(ctx.primes, hi)]
-    return qs[::-1], ps
+    ps = primes_between(ctx, x, x + w)
+    return primes_between(ctx, math.ceil(x - w) - 1, x)[::-1], ps
 
 
 def _swap_value(N: FactoredInteger, P: tuple[int, ...], Q: tuple[int, ...]) -> FactoredInteger:
@@ -192,14 +187,11 @@ def verify_window_against_dp(report: WindowReport, table: LandauTable) -> list[t
     every DP value that breaks the equal-count swap shape; empty when sound.
 
     Entries are (m, window_value, dp_value, reason) with reason "value" or
-    "structure".
+    "structure".  Only table.g(m) is read, so any g(m) provider serves.
     """
     champ = report.champion
-    n, x = champ.n, champ.x
+    x = champ.x
     w = 4 * x**report.alpha
-    m_hi = max(report.window_g)
-    if table.n_max < m_hi:
-        raise OutOfRangeError(f"table n_max={table.n_max} < window top {m_hi}")
 
     mismatches = []
     alphas = dict(champ.N.factors)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from landau import arith
@@ -19,6 +19,7 @@ from landau.arith import (
     factorize,
     moebius,
     prime_count,
+    primes_between,
     sieve_primes,
 )
 
@@ -107,6 +108,38 @@ def test_prime_count_examples(ctx_small):
 def test_prime_count_out_of_range(ctx_small):
     with pytest.raises(OutOfRangeError):
         prime_count(ctx_small, 10**4 + 1)
+
+
+def test_nan_bound_refused(ctx_small):
+    # nan compares false with every prime, so bisect alone returns a count
+    nan = float("nan")
+    for call in (
+        lambda: prime_count(ctx_small, nan),
+        lambda: primes_between(ctx_small, nan, 10),
+        lambda: primes_between(ctx_small, 2, nan),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+CTX_1000 = sieve_primes(1000)
+BOUND = st.one_of(st.integers(-50, 1000), st.floats(-50, 1000))
+
+
+@given(BOUND, BOUND)
+@example(-7, 1000)  # negative lo, hi at the sieve limit
+@example(500, 500)
+@example(997, 2)
+@example(996.5, 997)
+def test_primes_between_is_the_filter(lo, hi):
+    assert primes_between(CTX_1000, lo, hi) == [p for p in CTX_1000.primes if lo < p <= hi]
+
+
+@given(BOUND, st.floats(1000, 1e9, exclude_min=True))
+@example(-1, 1001)
+def test_primes_between_refuses_past_limit(lo, hi):
+    with pytest.raises(OutOfRangeError):
+        primes_between(CTX_1000, lo, hi)
 
 
 # ---------------------------------------------------------------- factorize

@@ -181,3 +181,5 @@ def test_attain_guards(ctx_small, table_10k):
         attain_largest_prime_factor(ctx_small, 6, table_10k)
     with pytest.raises(OutOfRangeError):
         attain_largest_prime_factor(ctx_small, 199, table_10k.truncate(50))
+    with pytest.raises(OutOfRangeError):
+        attain_largest_prime_factor(ctx_small, 10007, table_10k)  # past the sieve

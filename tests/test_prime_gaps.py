@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from landau import prime_gaps
-from landau.arith import SIEVE_GUARD, BudgetError, DomainError, OutOfRangeError, prime_count, sieve_primes
+from landau.arith import (
+    SIEVE_GUARD,
+    BudgetError,
+    DomainError,
+    OutOfRangeError,
+    factorize,
+    prime_count,
+    sieve_primes,
+)
 from landau.champions import build_champion, champion_exponent
 from landau.prime_gaps import (
     C1_EXACT,
@@ -194,6 +202,41 @@ def test_nearest_slope_at_100():
     assert dist >= math.sqrt(100) / math.log(100) ** 4
 
 
+def nearest_slope_over_integers(x):
+    # independent oracle: test every integer q for primality, stop at the
+    # first q whose Q² slope passes the bound
+    rho = x / math.log(x)
+    bound = rho + math.sqrt(x)
+    best = (0, 0, math.inf)
+    q = 2
+    while (q * q - q) / math.log(q) <= bound:
+        if factorize(q) == [(q, 1)]:
+            k = 2
+            while (s := (q**k - q ** (k - 1)) / math.log(q)) <= bound:
+                if abs(rho - s) < best[2]:
+                    best = (q, k, abs(rho - s))
+                k += 1
+        q += 1
+    return best
+
+
+def test_nearest_slope_matches_integer_loop():
+    rng = random.Random(23)
+    xs = [1 + 1e-6, 1.01, 1.5, 4, 16, 100, 10**6]
+    xs += [rng.uniform(1, 10**6) for _ in range(40)]
+    xs += [10 ** rng.uniform(0, 6) for _ in range(40)]
+    for x in xs:
+        assert nearest_slope(x) == nearest_slope_over_integers(x), x
+
+
+def test_nearest_slope_past_sieve_guard_refused():
+    # near 1, ρ = x/log x ≈ 10¹⁵ needs Q near 1.4·10⁸; near the float limit,
+    # Q² would overflow a float before the doubling of the sieve limit stopped
+    for x in (1 + 1e-15, 1.7e308):
+        with pytest.raises(BudgetError):
+            nearest_slope(x)
+
+
 def test_slope_separated_is_selberg_c23(ctx_million):
     for x in (13, 16, 100, 256, 1328, 10**5):
         expected = nearest_slope(x)[2] >= math.sqrt(x) / math.log(x) ** 4
@@ -226,6 +269,10 @@ def test_scan_guards(ctx_million, ctx_small):
     for epsilon in (-0.1, 1.0, 1.5):
         with pytest.raises(DomainError):
             exceptional_measure_scan(ctx_million, 10**5, 0.4, epsilon, 10)
+    # the scan interval [ξ, ξ + ξ/log ξ] needs log ξ > 0
+    for xi in (1.0, 0.5, -3):
+        with pytest.raises(DomainError):
+            exceptional_measure_scan(ctx_million, xi, 0.4, 0.9, 10)
     with pytest.raises(OutOfRangeError):
         exceptional_measure_scan(ctx_small, 10**4, 0.4, 0.9, 10)
 
