@@ -66,6 +66,17 @@ class FactoredInteger:
         self.log_value = math.fsum(e * math.log(p) for p, e in fs)
         self._value = None
 
+    @classmethod
+    def _trusted(cls, factors: tuple, log_terms) -> "FactoredInteger":
+        """For factors the program derived from checked ones: no validation.
+        log_terms are floats whose exact sum is Σ e·log p; fsum rounds that sum
+        correctly, so log_value equals what __init__ computes, bit for bit."""
+        self = cls.__new__(cls)
+        self.factors = factors
+        self.log_value = math.fsum(log_terms)
+        self._value = None
+        return self
+
     def value(self) -> int:
         """Exact integer value (arbitrary precision, cached)."""
         if self._value is None:

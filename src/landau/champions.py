@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .arith import (
     LOG_TIE_EPS,
@@ -46,6 +47,15 @@ class ChampionRecord:
             "tie_flags": list(self.tie_flags),
         }
 
+    # built once per champion for benefit_by_prime, which runs once per candidate
+    @cached_property
+    def _factor_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.N.factors)
+
+    @cached_property
+    def _zero_terms(self) -> dict[int, float]:
+        return dict.fromkeys((p for p, _ in self.N.factors), 0.0)
+
 
 def _corner_slope(p: int, k: int, lp: float) -> float:
     # (ℓ(p^k) − ℓ(p^{k−1})) / log p, with ℓ(p⁰) = 0
@@ -65,8 +75,8 @@ def _exponent_with_tie(p: int, rho: float) -> tuple[int, bool]:
 
 def champion_exponent(p: int, rho: float) -> int:
     """Largest k ≥ 0 whose corner slope stays ≤ ρ; ties take the larger k."""
-    if not rho > RHO_MIN:
-        raise DomainError(f"rho must exceed 2/log 2 ≈ {RHO_MIN:.4f}, got {rho}")
+    if not RHO_MIN < rho < math.inf:
+        raise DomainError(f"rho must be finite and exceed 2/log 2 ≈ {RHO_MIN:.4f}, got {rho}")
     return _exponent_with_tie(p, rho)[0]
 
 
@@ -95,16 +105,24 @@ def benefit_by_prime(champ: ChampionRecord, M: FactoredInteger) -> dict[int, flo
     """Per-prime decomposition of ben(M); every term is ≥ 0 and they sum to ben(M).
 
     Term at p with exponents α in N and β in M:
-    ℓ(p^β) − ℓ(p^α) − ρ(β − α)·log p, where ℓ(p⁰) = 0.
+    ℓ(p^β) − ℓ(p^α) − ρ(β − α)·log p, where ℓ(p⁰) = 0.  Keys are the primes
+    of N and M, ascending.  Where α = β the term is exactly 0 − ρ·0·log p =
+    +0.0, so the formula runs only on the primes of the (p, e) pairs that
+    one factor list has and the other lacks.
     """
-    alphas = dict(champ.N.factors)
-    betas = dict(M.factors)
-    terms = {}
+    own, alphas, betas = champ._factor_set, {}, {}
+    for p, e in own.symmetric_difference(M.factors):
+        (alphas if (p, e) in own else betas)[p] = e
+    terms = champ._zero_terms.copy()
+    top = next(reversed(terms), 0)
     for p in sorted(alphas.keys() | betas.keys()):
         a, b = alphas.get(p, 0), betas.get(p, 0)
         la = p**a if a else 0
         lb = p**b if b else 0
         terms[p] = (lb - la) - champ.rho * (b - a) * math.log(p)
+    # primes new in M were appended after N's; restore the order if one is smaller
+    if any(p < top for p in betas.keys() - alphas.keys()):
+        terms = dict(sorted(terms.items()))
     return terms
 
 

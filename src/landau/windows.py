@@ -7,6 +7,11 @@ in just above x and out just below x, each Q having exponent 1 in N, with
 d = ℓ(M) − ℓ(N) = ΣP − ΣQ ≤ 2x^α.  Collecting those M into B and slicing by
 d gives g(n + d) = max B_d and makes the window's increase points exactly
 {n + d : B_d ≠ ∅}.
+
+Candidates are derived from N's factor list: M keeps N's (p, e) pairs
+outside the Q's and appends the P's, and its log is N's exact log sum
+corrected by the 2r swapped terms, so a candidate costs no factor checks
+and no log over the primes it shares with N.
 """
 
 from __future__ import annotations
@@ -78,13 +83,22 @@ def surrounding_primes(
     return primes_between(ctx, math.ceil(x - w) - 1, x)[::-1], ps
 
 
-def _swap_value(N: FactoredInteger, P: tuple[int, ...], Q: tuple[int, ...]) -> FactoredInteger:
-    merged = dict(N.factors)
-    for q in Q:
-        del merged[q]
-    for p in P:
-        merged[p] = 1
-    return FactoredInteger(sorted(merged.items()))
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats with the same exact sum as terms: each is fsum's correctly
+    rounded value of what the earlier ones leave over (usually two in all)."""
+    parts: list[float] = []
+    while rest := math.fsum([*terms, *(-t for t in parts)]):
+        parts.append(rest)
+    return parts
+
+
+def _drop(seq: tuple, cuts: list[int]) -> tuple:
+    """seq without the entries at the ascending positions cuts."""
+    out, lo = (), 0
+    for i in cuts:
+        out += seq[lo:i]
+        lo = i + 1
+    return out + seq[lo:]
 
 
 def enumerate_B(
@@ -100,7 +114,11 @@ def enumerate_B(
         raise DomainError(f"alpha must be in (0, 1/2), got {alpha}")
     x = champ.x
     qs_desc, ps = surrounding_primes(ctx, x, alpha)
-    qs = sorted(q for q in qs_desc if champ.N.exponent_of(q) == 1)
+    fs = champ.N.factors
+    if ps and fs and fs[-1][0] >= ps[0]:
+        raise DomainError(f"champion has the prime {fs[-1][0]} above x = {x}")
+    pos = {p: i for i, (p, e) in enumerate(fs) if e == 1}
+    qs = sorted(q for q in qs_desc if q in pos)
     d_max = 2 * x**alpha
 
     # feasible swap counts: the cheapest r-swap uses the r smallest P's
@@ -115,6 +133,14 @@ def enumerate_B(
     if total > CANDIDATE_BUDGET:
         raise BudgetError(f"window would enumerate {total} candidates (> {CANDIDATE_BUDGET})")
 
+    # M's factors: N's without the Q's, then (p, 1) for each P, still sorted
+    # because every P exceeds N's primes and combinations yields P ascending.
+    # log M: the parts of N's exact log sum, less the Q terms, plus the P
+    # logs, which add up exactly to M's own terms.
+    terms = [e * math.log(p) for p, e in fs]
+    n_parts = _exact_parts(terms)
+    p_logs = {p: math.log(p) for p in ps}
+
     # distinct (P, Q) give distinct M: P sets differ in the primes above x, Q
     # sets in the primes at most x removed from N, so no candidate repeats
     out = [SwapCandidate(P_list=(), Q_list=(), d=0, value=champ.N)]
@@ -127,7 +153,11 @@ def enumerate_B(
             for Q in combinations(qs, r):
                 d = sp - sum(Q)
                 if 0 <= d <= d_max:
-                    value = _swap_value(champ.N, P, Q)
+                    cuts = [pos[q] for q in Q]
+                    value = FactoredInteger._trusted(
+                        _drop(fs, cuts) + tuple((p, 1) for p in P),
+                        [*n_parts, *(-terms[i] for i in cuts), *(p_logs[p] for p in P)],
+                    )
                     out.append(SwapCandidate(P_list=P, Q_list=Q, d=d, value=value))
     return out
 
@@ -175,11 +205,13 @@ def check_ordering_by_d(report: WindowReport) -> bool:
 
 def eq52_bound_holds(report: WindowReport) -> bool:
     """ben(g(m)) ≤ m − n throughout the window (float slack LOG_TIE_EPS)."""
-    n = report.champion.n
-    return all(
-        benefit(report.champion, fi) <= m - n + LOG_TIE_EPS
-        for m, fi in report.window_g.items()
-    )
+    n, prev = report.champion.n, None
+    for m, fi in sorted(report.window_g.items()):
+        # m − n grows along a run of one value, so the run's first m binds
+        if fi is not prev and not benefit(report.champion, fi) <= m - n + LOG_TIE_EPS:
+            return False
+        prev = fi
+    return True
 
 
 def verify_window_against_dp(report: WindowReport, table: LandauTable) -> list[tuple]:

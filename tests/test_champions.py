@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from landau.champions import (
     convexity_checks,
     verify_membership_in_G,
 )
+from landau.windows import enumerate_B
 
 PRIMES_300 = [p for p in range(2, 300) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
@@ -36,8 +38,10 @@ def test_champion_exponent_examples():
 
 
 def test_champion_exponent_domain():
-    with pytest.raises(DomainError):
-        champion_exponent(2, 2.0)
+    # ρ = ∞ ran about 650 rounds, then overflowed converting p^k to float
+    for rho in (2.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            champion_exponent(3, rho)
 
 
 # ---------------------------------------------------------------- construction
@@ -120,6 +124,61 @@ def test_benefit_terms_nonnegative(ctx_small):
             terms = benefit_by_prime(c, M)
             assert all(t >= -1e-9 for t in terms.values())
             assert benefit(c, M) >= -1e-9
+
+
+def benefit_by_prime_every_prime(champ, M):
+    """The per-prime formula evaluated at every prime of N and M, ascending."""
+    alphas = dict(champ.N.factors)
+    betas = dict(M.factors)
+    terms = {}
+    for p in sorted(alphas.keys() | betas.keys()):
+        a, b = alphas.get(p, 0), betas.get(p, 0)
+        la = p**a if a else 0
+        lb = p**b if b else 0
+        terms[p] = (lb - la) - champ.rho * (b - a) * math.log(p)
+    return terms
+
+
+def assert_same_terms(champ, M):
+    got, want = benefit_by_prime(champ, M), benefit_by_prime_every_prime(champ, M)
+    # keys in order, and floats bit for bit (hex tells +0.0 from −0.0)
+    assert [(p, t.hex()) for p, t in got.items()] == [(p, t.hex()) for p, t in want.items()]
+
+
+def test_benefit_terms_bit_identical_on_swaps(ctx_million):
+    for x in (13, 31, 101, 1009):
+        champ = build_champion(ctx_million, x)
+        for c in enumerate_B(champ, 0.45, ctx_million):
+            assert_same_terms(champ, c.value)
+
+
+def test_benefit_terms_bit_identical_on_exponent_changes(ctx_small):
+    for x in (5, 13, 101, 997):
+        champ = build_champion(ctx_small, x)
+        N = champ.N
+        for p, a in N.factors[:3] + N.factors[-2:]:
+            assert_same_terms(champ, N.with_exponent(p, a + 1))  # raise
+            assert_same_terms(champ, N.with_exponent(p, a - 1))  # lower (drops when a = 1)
+            assert_same_terms(champ, N.with_exponent(p, 0))  # drop
+        assert_same_terms(champ, N.with_exponent(ctx_small.primes[len(N.factors) + 1], 2))  # new prime
+        assert_same_terms(champ, FactoredInteger())
+
+
+def test_benefit_terms_bit_identical_with_prime_between(ctx_small):
+    # an N with gaps, so M's new primes land between N's and after them
+    N = FactoredInteger([(2, 3), (5, 1), (11, 2), (13, 1)])
+    champ = replace(build_champion(ctx_small, 13), N=N, n=ell(N))
+    for M in (
+        N.with_exponent(7, 1),
+        N.with_exponent(3, 2).with_exponent(17, 1),
+        N.with_exponent(13, 0).with_exponent(3, 1),
+        FactoredInteger([(3, 1), (7, 2), (19, 1)]),
+    ):
+        assert_same_terms(champ, M)
+        assert list(benefit_by_prime(champ, M)) == sorted(dict(N.factors) | dict(M.factors))
+    rng = random.Random(11)
+    for _ in range(300):
+        assert_same_terms(champ, random_M(rng))
 
 
 # ---------------------------------------------------------------- membership / convexity

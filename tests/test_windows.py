@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from landau.arith import BudgetError, DomainError, OutOfRangeError, ell
-from landau.champions import build_champion
+from landau.arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, ell
+from landau.champions import benefit, build_champion
 from landau.gtable import brute_force_g, increase_points
 from landau.windows import (
     assemble_report,
@@ -119,6 +121,49 @@ def test_candidate_invariants(rep13, rep31, rep100, rep101):
         assert len({c.value for c in rep.candidates}) == len(rep.candidates)
 
 
+def swap_by_dict(N, P, Q):
+    """M = N·∏P/∏Q built from scratch: the construction enumerate_B replaces."""
+    merged = dict(N.factors)
+    for q in Q:
+        del merged[q]
+    for p in P:
+        merged[p] = 1
+    return FactoredInteger(sorted(merged.items()))
+
+
+@pytest.mark.parametrize("x, alpha", [(13, 0.45), (31, 0.45), (101, 0.45), (1009, 0.45), (10007, 0.4)])
+def test_derived_candidates_equal_dict_swaps(ctx_million, x, alpha):
+    champ = build_champion(ctx_million, x)
+    cands = enumerate_B(champ, alpha, ctx_million)
+    # order and d: the empty swap, then every (P, Q) with 0 ≤ d ≤ 2x^α by
+    # swap count, then lexicographically
+    qs_desc, ps = surrounding_primes(ctx_million, x, alpha)
+    qs = sorted(q for q in qs_desc if champ.N.exponent_of(q) == 1)
+    expected = [((), (), 0)]
+    for r in range(1, min(len(ps), len(qs)) + 1):
+        if sum(ps[:r]) - sum(qs[-r:]) > 2 * x**alpha:
+            break
+        expected += [
+            (P, Q, sum(P) - sum(Q))
+            for P in combinations(ps, r)
+            for Q in combinations(qs, r)
+            if 0 <= sum(P) - sum(Q) <= 2 * x**alpha
+        ]
+    assert [(c.P_list, c.Q_list, c.d) for c in cands] == expected
+    # values: the same factors and, bit for bit, the same log
+    for c in cands:
+        want = swap_by_dict(champ.N, c.P_list, c.Q_list)
+        assert c.value.factors == want.factors
+        assert c.value.log_value == want.log_value
+
+
+def test_enumerate_B_refuses_prime_above_x(ctx_million):
+    champ = build_champion(ctx_million, 13)
+    N = champ.N.with_exponent(17, 1)
+    with pytest.raises(DomainError):
+        enumerate_B(replace(champ, N=N, n=ell(N)), 0.45, ctx_million)
+
+
 # ---------------------------------------------------------------- window values
 
 
@@ -178,6 +223,25 @@ def test_ordering_trivial(ctx_million):
 def test_eq52_bound(rep13, rep31, rep100, rep101):
     for rep in (rep13, rep31, rep100, rep101):
         assert eq52_bound_holds(rep)
+
+
+def test_eq52_bound_equals_check_at_every_m(rep13, rep101):
+    def every_m(rep):
+        n = rep.champion.n
+        return all(benefit(rep.champion, fi) <= m - n + 1e-9 for m, fi in rep.window_g.items())
+
+    reps = [rep13, rep101]
+    for rep in (rep13, rep101):
+        # the candidate with the largest d at every m (one run), and only
+        # from its own m on (a run that starts late)
+        top = max(rep.candidates, key=lambda c: c.d)
+        n = rep.champion.n
+        reps.append(replace(rep, window_g=dict.fromkeys(rep.window_g, top.value)))
+        reps.append(replace(rep, window_g={
+            m: top.value if m - n >= top.d else fi for m, fi in rep.window_g.items()
+        }))
+    assert [eq52_bound_holds(r) for r in reps] == [every_m(r) for r in reps]
+    assert [eq52_bound_holds(r) for r in reps] == [True, True, False, True, False, True]
 
 
 # ---------------------------------------------------------------- DP comparison
