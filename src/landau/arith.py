@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -225,7 +226,7 @@ def moebius(n: int) -> int:
 
 def ell(M: FactoredInteger) -> int:
     """ℓ(M) = Σ p^e over the factorization of M; ℓ(1) = 0."""
-    return sum(p**e for p, e in M.factors)
+    return sum(starmap(pow, M.factors))
 
 
 def compare_factored(A: FactoredInteger, B: FactoredInteger) -> int:

@@ -4,9 +4,11 @@ around the lower bound |E| ≥ C₂·x^α.
 E collects P − Q over primes Q ∈ (x − x^α, x] and P ∈ (x, x + x^α]; r(d)
 counts the pairs at each difference.  f(d) = ∏_{p|d, p>2} (p−1)/(p−2) and its
 Möbius companion h(n) = Σ_{a|n} μ(a) f²(n/a) are exact rationals over the
-primes from arith.factorize, and a multiplicative sieve checks Σ_{n≤x} f²(n)
-≤ (8/3)x with no floating point at all.  The Selberg condition predicates and
-the short-interval hypothesis flags are exact inequalities on sieved counts.
+primes from arith.factorize.  Σ_{n≤x} f²(n) ≤ (8/3)x is checked with no
+floating point at all: a multiplicative sieve gives f(n) as an integer ratio,
+and the squares are summed in exact integers over shared denominators.  The
+Selberg condition predicates and the short-interval hypothesis flags are
+exact inequalities on sieved counts.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
     """Σ_{n≤limit} f²(n) exactly, the ≤ (8/3)·limit verdict, and the ratio.
 
     f(n) = num[n]/den[n] comes from one multiplicative sieve over the odd
-    primes; both stay ≤ n, so int32 holds them below 2³¹.  The exact sum is
-    merged pairwise (divide and conquer) because a linear accumulation drags
-    a denominator with thousands of digits through every step.
+    primes; both stay ≤ n, so int32 holds them below 2³¹.  The squares are
+    summed in Python ints: num² is added into one total per distinct den,
+    then the (L, S) pairs, each standing for S/L², merge pairwise over the
+    lcm of their L.  Only the final S/L² is reduced to a Fraction.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
@@ -126,18 +129,25 @@ def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
     for p in primes:
         num[p::p] *= p - 1
         den[p::p] *= p - 2
-    del primes  # not held through the Fraction sum, which sets peak memory
-    terms = []
+    del primes  # not held through the exact sum, which sets peak memory
+    groups: dict[int, int] = {}
     block = 1 << 14  # Python ints one block at a time keep peak memory flat
     for lo in range(1, limit + 1, block):
         nums, dens = num[lo : lo + block].tolist(), den[lo : lo + block].tolist()
-        terms.extend(Fraction(a * a, b * b) for a, b in zip(nums, dens))
-    while len(terms) > 1:
-        paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
-        if len(terms) % 2:
-            paired.append(terms[-1])
-        terms = paired
-    total = terms[0]
+        for a, b in zip(nums, dens):
+            groups[b] = groups.get(b, 0) + a * a
+    pairs = list(groups.items())
+    while len(pairs) > 1:
+        merged = []
+        for (la, sa), (lb, sb) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(la, lb)
+            ma, mb = lb // g, la // g  # la·ma = lb·mb = lcm(la, lb)
+            merged.append((la * ma, sa * ma * ma + sb * mb * mb))
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    L, S = pairs[0]
+    total = Fraction(S, L * L)
     return total, total <= Fraction(8, 3) * limit, float(total / limit)
 
 
@@ -174,6 +184,12 @@ def hypothesis_31_32(
     return upper >= expected, lower >= expected
 
 
+@lru_cache(maxsize=4)
+def _primes_to(top: int) -> tuple[int, ...]:
+    # a scan's grid points share one or two powers of two as their sieve limit
+    return tuple(sieve_primes(top).primes)
+
+
 def nearest_slope(x: float) -> tuple[int, int, float]:
     """The prime power Q^k (k ≥ 2) whose corner slope (Q^k − Q^{k−1})/log Q is
     closest to x/log x; returns (Q, k, distance).
@@ -190,7 +206,7 @@ def nearest_slope(x: float) -> tuple[int, int, float]:
     while top <= SIEVE_GUARD and (top * top - top) / math.log(top) <= bound:
         top *= 2
     best = (0, 0, math.inf)
-    for q in sieve_primes(top).primes:
+    for q in _primes_to(top):
         lq = math.log(q)
         k = 2
         while (s := (q**k - q ** (k - 1)) / lq) <= bound:

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau import prime_gaps
 from landau.arith import (
@@ -127,6 +130,44 @@ def test_sum_f_squared_matches_f_factor():
         assert s == sum(f_factor(n) ** 2 for n in range(1, limit + 1))
 
 
+def sum_f_squared_by_fractions(limit):
+    """Reference: one reduced Fraction f²(n) per n from a multiplicative sieve
+    of num and den, added pairwise."""
+    num, den = np.ones((2, limit + 1), dtype=np.int64)
+    for p in sieve_primes(max(limit, 2)).primes:
+        if 2 < p <= limit:
+            num[p::p] *= p - 1
+            den[p::p] *= p - 2
+    terms = [Fraction(a * a, b * b) for a, b in zip(num[1:].tolist(), den[1:].tolist())]
+    while len(terms) > 1:
+        paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    total = terms[0]
+    return total, total <= Fraction(8, 3) * limit, float(total / limit)
+
+
+def assert_same_as_fraction_sum(limit):
+    s, holds, ratio = sum_f_squared_check(limit)
+    want_s, want_holds, want_ratio = sum_f_squared_by_fractions(limit)
+    assert s == want_s and (s.numerator, s.denominator) == (want_s.numerator, want_s.denominator)
+    assert holds is want_holds
+    assert ratio.hex() == want_ratio.hex()
+
+
+def test_sum_f_squared_equals_fraction_sum():
+    # both sides of the 2^14 block edges, and past the second
+    for limit in (1, 2, 3, 10, 16383, 16384, 16385, 32769):
+        assert_same_as_fraction_sum(limit)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=3000))
+def test_sum_f_squared_equals_fraction_sum_property(limit):
+    assert_same_as_fraction_sum(limit)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("reached before the range check")
 
@@ -235,6 +276,22 @@ def test_nearest_slope_past_sieve_guard_refused():
     for x in (1 + 1e-15, 1.7e308):
         with pytest.raises(BudgetError):
             nearest_slope(x)
+
+
+def test_scan_sieves_once_per_power_of_two(monkeypatch, ctx_million):
+    calls = []
+
+    def counting_sieve(limit):
+        calls.append(limit)
+        return sieve_primes(limit)
+
+    prime_gaps._primes_to.cache_clear()
+    monkeypatch.setattr(prime_gaps, "sieve_primes", counting_sieve)
+    exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 200)
+    prime_gaps._primes_to.cache_clear()  # drop what the patched sieve filled
+    # across [ξ, ξ + ξ/log ξ] the sieve limit is one power of two, or two
+    assert 1 <= len(calls) <= 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_slope_separated_is_selberg_c23(ctx_million):
