@@ -54,7 +54,7 @@ for alpha, eps in ((1.0, 0.0), (0.45, 0.5), (0.5, 0.9)):
     print(f"  C2(alpha={alpha}, eps={eps}) = {lower_bound_constant(alpha, eps)[1]:.3e}")
 
 # slope separation: the nearest competing corner slope to x = 100
-p, k, margin = nearest_slope(100)
+p, k, margin = nearest_slope(ctx, 100)
 print(f"\nnearest corner slope to x = 100: prime {p}, exponent {k}, "
       f"margin {margin:.5f} vs sqrt(x)/log^4(x) = {10 / math.log(100)**4:.5f}")
 

@@ -161,7 +161,7 @@ def _run_gamma(args):
 def _run_champion(args):
     x = args.x
     _check_in("x", x, 4)
-    ctx = sieve_primes(max(math.ceil(x), 5))
+    ctx = sieve_primes(math.ceil(x))
     champ = build_champion(ctx, x)
     ties = " ".join(str(p) for p in champ.tie_flags) or "none"
     text = [
@@ -177,7 +177,7 @@ def _run_window(args):
     x, alpha = args.x, args.alpha
     _check_in("x", x, 4)
     _check_in("alpha", alpha, 0, 0.5)
-    ctx = sieve_primes(max(math.ceil(x + 4 * x**alpha) + 1, 5))
+    ctx = sieve_primes(math.ceil(x + 4 * x**alpha) + 1)
     champ = build_champion(ctx, x)
     report = window_g(champ, alpha, ctx)
     checks = window_checks(report, _table(max(report.window_g)))
@@ -205,7 +205,7 @@ def _run_gaps(args):
     _check_in("alpha", alpha, 0, 1)
     # x − x^α > 1, which build_gap_report requires, already implies x > 1
     _check_in("x", x, 1)
-    ctx = sieve_primes(max(math.ceil(x + x**alpha) + 1, 5))
+    ctx = sieve_primes(math.ceil(x + x**alpha) + 1)
     report = build_gap_report(ctx, x, alpha, epsilon)
     text = [
         f"x = {_cell(report.x)}, alpha = {_cell(alpha)}, epsilon = {_cell(epsilon)}",
@@ -251,7 +251,7 @@ def _run_scan(args):
     _check_in("xi", xi, 1)  # the grid [ξ, ξ + ξ/log ξ] needs log ξ > 0
     _check_in("alpha", alpha, 0, 1)
     xi_hi = xi + xi / math.log(xi)
-    ctx = sieve_primes(max(math.ceil(xi_hi + xi_hi**alpha) + 1, 5))
+    ctx = sieve_primes(math.ceil(xi_hi + xi_hi**alpha) + 1)
     fraction = exceptional_measure_scan(ctx, xi, alpha, epsilon, samples)
     comparator = 1 / math.log(xi) ** 3
     payload = {

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .arith import (
-    SIEVE_GUARD,
+    BudgetError,
     DomainError,
     OutOfRangeError,
     PrimeContext,
@@ -34,6 +34,7 @@ from .arith import (
 
 C1_EXACT = Fraction(27, 16384)  # ≥ the published safe constant 0.00164
 C1_SAFE = 0.00164
+PAIR_BUDGET = 10**9  # difference_set's pairs: 200–400 s at 2.5–5·10⁶ pairs/s (CPython 3.11, 2 vCPU)
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,14 @@ class GapReport:
 
 
 def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], dict[int, int]]:
-    """Exact E and r(d) by double loop over the two prime windows."""
+    """Exact E and r(d) by double loop over the two prime windows, up to PAIR_BUDGET pairs."""
     _check_alpha(alpha)
     w = x**alpha
     if not x - w > 1:
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
     qs, ps = primes_between(ctx, x - w, x), primes_between(ctx, x, x + w)
+    if len(qs) * len(ps) > PAIR_BUDGET:
+        raise BudgetError(f"{len(qs)}·{len(ps)} prime pairs exceed the budget of {PAIR_BUDGET}")
     r: dict[int, int] = {}
     for p in ps:
         for q in qs:
@@ -184,42 +187,38 @@ def hypothesis_31_32(
     return upper >= expected, lower >= expected
 
 
-@lru_cache(maxsize=4)
-def _primes_to(top: int) -> tuple[int, ...]:
-    # a scan's grid points share one or two powers of two as their sieve limit
-    return tuple(sieve_primes(top).primes)
-
-
-def nearest_slope(x: float) -> tuple[int, int, float]:
+def nearest_slope(ctx: PrimeContext, x: float) -> tuple[int, int, float]:
     """The prime power Q^k (k ≥ 2) whose corner slope (Q^k − Q^{k−1})/log Q is
     closest to x/log x; returns (Q, k, distance).
 
-    Only slopes ≤ x/log x + √x matter: beyond that the distance already
+    Only slopes ≤ B = x/log x + √x matter: beyond that the distance already
     exceeds √x ≥ the slope-separation margin √x/log⁴x.  The Q² slope grows with
-    Q, so one sieve to the first power of two past the bound holds every Q.
+    Q, so the walk stops at the first Q past B; as it is ≥ Q and ≥ Q²/(2 log Q),
+    every Q that matters is ≤ √(2B·log B), which ctx must cover.
     """
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     rho = x / math.log(x)
     bound = rho + math.sqrt(x)
-    top = 2
-    while top <= SIEVE_GUARD and (top * top - top) / math.log(top) <= bound:
-        top *= 2
+    # two square roots keep the gate finite near x = 1.7e308, where 2B·log B overflows
+    prime_count(ctx, math.sqrt(2 * bound) * math.sqrt(math.log(bound)))
     best = (0, 0, math.inf)
-    for q in _primes_to(top):
+    for q in ctx.primes:
         lq = math.log(q)
         k = 2
         while (s := (q**k - q ** (k - 1)) / lq) <= bound:
             if abs(rho - s) < best[2]:
                 best = (q, k, abs(rho - s))
             k += 1
+        if k == 2:  # Q²'s slope already passes B, and so does every later Q's
+            break
     return best
 
 
-def slope_separated(x: float) -> bool:
+def slope_separated(ctx: PrimeContext, x: float) -> bool:
     """c23: every corner slope (Q^k − Q^{k−1})/log Q, k ≥ 2, lies at least
     √x/log⁴x away from x/log x."""
-    return nearest_slope(x)[2] >= math.sqrt(x) / math.log(x) ** 4
+    return nearest_slope(ctx, x)[2] >= math.sqrt(x) / math.log(x) ** 4
 
 
 def selberg_conditions(
@@ -235,7 +234,7 @@ def selberg_conditions(
     expected = w / math.log(x)
     c21 = abs(upper - expected) <= epsilon * expected
     c22 = abs(lower - expected) <= epsilon * expected
-    return c21, c22, slope_separated(x)
+    return c21, c22, slope_separated(ctx, x)
 
 
 def _check_alpha(alpha: float) -> None:

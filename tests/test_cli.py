@@ -103,6 +103,8 @@ def test_domain_refusals_are_exit_1(invocation):
         # finite inputs whose sieve limit overflows a float
         ("gaps", "--x", "1.7e308", "--alpha", "0.9999", "--epsilon", "0.5"),
         ("scan", "--xi", "1.7e308", "--alpha", "0.9999", "--epsilon", "0.5", "--samples", "10"),
+        # about 1.32·10⁹ prime pairs, past difference_set's budget
+        ("gaps", "--x", "1e6", "--alpha", "0.95", "--epsilon", "0.5"),
     ],
     ids=" ".join,
 )

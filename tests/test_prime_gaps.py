@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,15 @@ def test_difference_set_guards(ctx_small):
         difference_set(ctx_small, 10**4, 0.5)
     with pytest.raises(DomainError):
         difference_set(ctx_small, 2, 0.9)
+
+
+def test_difference_set_pair_budget():
+    # 37 054 · 35 748 ≈ 1.32·10⁹ prime pairs: refused before the loop
+    ctx = sieve_primes(1_600_000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        difference_set(ctx, 10**6, 0.95)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_difference_set_context_independent(ctx_million):
@@ -235,8 +245,8 @@ def test_selberg_example(ctx_million):
     assert selberg_conditions(ctx_million, 100, 0.5, 10)[:2] == (True, True)
 
 
-def test_nearest_slope_at_100():
-    q, k, dist = nearest_slope(100)
+def test_nearest_slope_at_100(ctx_million):
+    q, k, dist = nearest_slope(ctx_million, 100)
     # 42/log 7 ≈ 21.584 sits 0.131 from ρ = 21.715; the margin is ≈ 0.0222
     assert (q, k) == (7, 2)
     assert dist == pytest.approx(0.131, abs=1e-3)
@@ -261,46 +271,51 @@ def nearest_slope_over_integers(x):
     return best
 
 
-def test_nearest_slope_matches_integer_loop():
+def test_nearest_slope_matches_integer_loop(ctx_million):
     rng = random.Random(23)
     xs = [1 + 1e-6, 1.01, 1.5, 4, 16, 100, 10**6]
     xs += [rng.uniform(1, 10**6) for _ in range(40)]
     xs += [10 ** rng.uniform(0, 6) for _ in range(40)]
     for x in xs:
-        assert nearest_slope(x) == nearest_slope_over_integers(x), x
+        assert nearest_slope(ctx_million, x) == nearest_slope_over_integers(x), x
 
 
-def test_nearest_slope_past_sieve_guard_refused():
-    # near 1, ρ = x/log x ≈ 10¹⁵ needs Q near 1.4·10⁸; near the float limit,
-    # Q² would overflow a float before the doubling of the sieve limit stopped
+def test_nearest_slope_sieve_boundary():
+    # at x = 100 every Q that matters is ≤ √(2B·log B) ≈ 14.81
+    with pytest.raises(OutOfRangeError):
+        nearest_slope(sieve_primes(14), 100)
+    assert nearest_slope(sieve_primes(15), 100) == nearest_slope_over_integers(100)
+
+
+def test_nearest_slope_past_sieve_guard_refused(ctx_million):
+    # near 1, ρ = x/log x ≈ 10¹⁵ needs Q up to about 2.6·10⁸; near the float
+    # limit, Q up to about 1.8·10¹⁵⁴: both are refused before any walk
     for x in (1 + 1e-15, 1.7e308):
-        with pytest.raises(BudgetError):
-            nearest_slope(x)
+        start = time.perf_counter()
+        with pytest.raises(OutOfRangeError):
+            nearest_slope(ctx_million, x)
+        assert time.perf_counter() - start < 0.5
 
 
-def test_scan_sieves_once_per_power_of_two(monkeypatch, ctx_million):
+def test_scan_sieves_nothing(monkeypatch, ctx_million):
     calls = []
 
     def counting_sieve(limit):
         calls.append(limit)
         return sieve_primes(limit)
 
-    prime_gaps._primes_to.cache_clear()
     monkeypatch.setattr(prime_gaps, "sieve_primes", counting_sieve)
     exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 200)
-    prime_gaps._primes_to.cache_clear()  # drop what the patched sieve filled
-    # across [ξ, ξ + ξ/log ξ] the sieve limit is one power of two, or two
-    assert 1 <= len(calls) <= 2
-    assert len(set(calls)) == len(calls)
+    assert calls == []  # every grid point reads the caller's sieve
 
 
 def test_slope_separated_is_selberg_c23(ctx_million):
     for x in (13, 16, 100, 256, 1328, 10**5):
-        expected = nearest_slope(x)[2] >= math.sqrt(x) / math.log(x) ** 4
-        assert slope_separated(x) is expected
+        expected = nearest_slope(ctx_million, x)[2] >= math.sqrt(x) / math.log(x) ** 4
+        assert slope_separated(ctx_million, x) is expected
         assert selberg_conditions(ctx_million, x, 0.45, 0.5)[2] is expected
-    assert not slope_separated(16)  # the slope of 2³, 4/log 2, is ρ = 16/log 16
-    assert slope_separated(13)  # nearest slope 3², distance 0.394, margin 0.083
+    assert not slope_separated(ctx_million, 16)  # the slope of 2³, 4/log 2, is ρ = 16/log 16
+    assert slope_separated(ctx_million, 13)  # nearest slope 3², distance 0.394, margin 0.083
 
 
 def test_scan_deterministic(ctx_million):
@@ -349,7 +364,7 @@ NAN = float("nan")
         lambda ctx: hypothesis_31_32(ctx, NAN, 0.4, 0.5),
         lambda ctx: selberg_conditions(ctx, 1000, -0.4, 0.5),
         lambda ctx: selberg_conditions(ctx, NAN, 0.4, 0.5),
-        lambda ctx: nearest_slope(NAN),
+        lambda ctx: nearest_slope(ctx, NAN),
         lambda ctx: build_champion(ctx, NAN),
         lambda ctx: champion_exponent(3, NAN),
     ],
