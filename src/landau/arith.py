@@ -229,6 +229,11 @@ def ell(M: FactoredInteger) -> int:
     return sum(starmap(pow, M.factors))
 
 
+def corner_slope(p: int, k: int, lp: float) -> float:
+    """(ℓ(p^k) − ℓ(p^{k−1})) / lp, lp = log p, ℓ(p⁰) = 0: the slope of p^{k−1} → p^k."""
+    return p / lp if k == 1 else (p**k - p ** (k - 1)) / lp
+
+
 def compare_factored(A: FactoredInteger, B: FactoredInteger) -> int:
     """Exact ordering of two factored integers: −1, 0, or 1.
 

@@ -20,6 +20,7 @@ from .arith import (
     FactoredInteger,
     OutOfRangeError,
     PrimeContext,
+    corner_slope,
     ell,
     primes_between,
 )
@@ -57,16 +58,11 @@ class ChampionRecord:
         return dict.fromkeys((p for p, _ in self.N.factors), 0.0)
 
 
-def _corner_slope(p: int, k: int, lp: float) -> float:
-    # (ℓ(p^k) − ℓ(p^{k−1})) / log p, with ℓ(p⁰) = 0
-    return p / lp if k == 1 else (p**k - p ** (k - 1)) / lp
-
-
 def _exponent_with_tie(p: int, rho: float) -> tuple[int, bool]:
     lp = math.log(p)
     k, tie = 0, False
     while True:
-        s = _corner_slope(p, k + 1, lp)
+        s = corner_slope(p, k + 1, lp)
         if s >= rho + LOG_TIE_EPS:
             return k, tie
         tie = tie or s > rho - LOG_TIE_EPS  # boundary tie: larger exponent wins

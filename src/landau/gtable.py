@@ -37,6 +37,7 @@ from .arith import (
     PrimeContext,
     factorize,
     primes_between,
+    sieve_primes,
 )
 
 BRUTE_FORCE_LIMIT = 35
@@ -254,7 +255,8 @@ def gap_statistics(points: IncreasePoints) -> GapStatistics:
 
 # ---------------------------------------------------------------------------
 # table cache: one line per n, `n,p1^e1 p2^e2 ...` (primes ascending), `n,1`
-# for g(n) = 1; UTF-8, LF.  Round-trips byte-exact.
+# for g(n) = 1; UTF-8, LF.  The reader trusts no line: it rebuilds the table by
+# the DP and refuses a file that differs from it by one byte.
 
 
 def factor_token(factors) -> str:
@@ -262,36 +264,24 @@ def factor_token(factors) -> str:
     return " ".join(f"{p}^{e}" for p, e in factors) if factors else "1"
 
 
+def _cache_lines(table: LandauTable) -> list[bytes]:
+    return [f"{n},{factor_token(table.g(n).factors)}\n".encode() for n in range(1, table.n_max + 1)]
+
+
 def write_table_cache(table: LandauTable, path) -> None:
-    lines = [f"{n},{factor_token(table.g(n).factors)}" for n in range(1, table.n_max + 1)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Path(path).write_bytes(b"".join(_cache_lines(table)))
 
 
 def read_table_cache(path) -> LandauTable:
-    """A line repeating the previous body extends its run; any other line starts
-    a new run, which must exceed the last or it would pose as an increase point."""
-    starts, runs, prev_body = [], [], None
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            head, _, body = line.partition(",")
-            if int(head) != n:
-                raise ValueError(f"expected n={n}, got {head!r}")
-            if body == prev_body:
-                continue
-            prev_body = body
-            fs = []
-            for tok in [] if body == "1" else body.split(" "):
-                ps, sep, es = tok.partition("^")
-                if not sep:
-                    raise ValueError(f"malformed prime power {tok!r}")
-                fs.append((int(ps), int(es)))
-            value = FactoredInteger(fs)
-            if runs and not value > runs[-1]:
-                raise ValueError(f"g({n}) = {value} does not exceed g({n - 1}) = {runs[-1]}")
-            starts.append(n)
-            runs.append(value)
-        except ValueError as exc:
-            raise CacheParseError(f"line {n}: {exc}") from exc
-    if not runs:
+    """g(1..n), n the file's line count, by the DP; the file must be exactly
+    what write_table_cache writes for that table, or CacheParseError names the
+    first line that differs.  n past TABLE_GUARD is refused by landau_g."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    if not lines:
         raise CacheParseError("line 1: cache file is empty")
-    return LandauTable(n_max=n, starts=starts, runs=runs)
+    n = len(lines)
+    table = landau_g(sieve_primes(max(n, 3)), n)
+    for i, (got, want) in enumerate(zip(lines, _cache_lines(table)), 1):
+        if got != want:
+            raise CacheParseError(f"line {i}: {got!r} differs from the DP's {want!r}")
+    return table

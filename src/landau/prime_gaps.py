@@ -4,9 +4,10 @@ around the lower bound |E| ≥ C₂·x^α.
 E collects P − Q over primes Q ∈ (x − x^α, x] and P ∈ (x, x + x^α]; r(d)
 counts the pairs at each difference.  f(d) = ∏_{p|d, p>2} (p−1)/(p−2) and its
 Möbius companion h(n) = Σ_{a|n} μ(a) f²(n/a) are exact rationals over the
-primes from arith.factorize.  Σ_{n≤x} f²(n) ≤ (8/3)x is checked with no
-floating point at all: a multiplicative sieve gives f(n) as an integer ratio,
-and the squares are summed in exact integers over shared denominators.  The
+primes from arith.factorize, one d at a time.  Over a whole range, one
+multiplicative sieve gives every f(n) as an integer ratio: the sieve-bound rows
+read it, and Σ_{n≤x} f²(n) ≤ (8/3)x is checked with no floating point at all,
+the squares summed in exact integers over shared denominators.  The
 Selberg condition predicates and the short-interval hypothesis flags are
 exact inequalities on sieved counts.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +26,7 @@ from .arith import (
     DomainError,
     OutOfRangeError,
     PrimeContext,
+    corner_slope,
     factorize,
     prime_count,
     primes_between,
@@ -88,7 +89,6 @@ def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int]
     return sorted(r), dict(sorted(r.items()))
 
 
-@lru_cache(maxsize=None)
 def f_factor(d: int) -> Fraction:
     """f(d) = ∏_{p|d, p>2} (p−1)/(p−2), exact."""
     if d < 1:
@@ -96,7 +96,6 @@ def f_factor(d: int) -> Fraction:
     return math.prod((Fraction(p - 1, p - 2) for p, _ in factorize(d) if p > 2), start=Fraction(1))
 
 
-@lru_cache(maxsize=None)
 def h_convolution(n: int) -> Fraction:
     """h(n) = Σ_{a|n} μ(a) f²(n/a), exact; vanishes unless n is odd squarefree.
 
@@ -113,26 +112,32 @@ def h_convolution(n: int) -> Fraction:
     return total
 
 
+def _f_sieve(ctx: PrimeContext, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 arrays with f(n) = num[n]/den[n] for 1 ≤ n ≤ limit, by one
+    multiplicative sieve over the odd primes of ctx; both stay ≤ n, so int32
+    holds them below 2³¹.  The ratio is not reduced."""
+    num, den = np.ones((2, limit + 1), dtype=np.int32)
+    for p in primes_between(ctx, 2, limit):
+        num[p::p] *= p - 1
+        den[p::p] *= p - 2
+    return num, den
+
+
 def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
     """Σ_{n≤limit} f²(n) exactly, the ≤ (8/3)·limit verdict, and the ratio.
 
-    f(n) = num[n]/den[n] comes from one multiplicative sieve over the odd
-    primes; both stay ≤ n, so int32 holds them below 2³¹.  The squares are
-    summed in Python ints: num² is added into one total per distinct den,
-    then the (L, S) pairs, each standing for S/L², merge pairwise over the
-    lcm of their L.  Only the final S/L² is reduced to a Fraction.
+    f(n) = num[n]/den[n] comes from _f_sieve.  The squares are summed in
+    Python ints: num² is added into one total per distinct den, then the
+    (L, S) pairs, each standing for S/L², merge pairwise over the lcm of
+    their L.  Only the final S/L² is reduced to a Fraction.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit >= 1 << 31:
         raise OutOfRangeError(f"limit must be below 2^31, got {limit}")
-    # sieve first: its size guard then refuses before the arrays exist
-    primes = primes_between(sieve_primes(max(limit, 2)), 2, limit)
-    num, den = np.ones((2, limit + 1), dtype=np.int32)
-    for p in primes:
-        num[p::p] *= p - 1
-        den[p::p] *= p - 2
-    del primes  # not held through the exact sum, which sets peak memory
+    # the sieve's size guard refuses before the arrays exist, and its primes
+    # are not held through the exact sum, which sets peak memory
+    num, den = _f_sieve(sieve_primes(max(limit, 2)), limit)
     groups: dict[int, int] = {}
     block = 1 << 14  # Python ints one block at a time keep peak memory flat
     for lo in range(1, limit + 1, block):
@@ -206,7 +211,7 @@ def nearest_slope(ctx: PrimeContext, x: float) -> tuple[int, int, float]:
     for q in ctx.primes:
         lq = math.log(q)
         k = 2
-        while (s := (q**k - q ** (k - 1)) / lq) <= bound:
+        while (s := corner_slope(q, k, lq)) <= bound:
             if abs(rho - s) < best[2]:
                 best = (q, k, abs(rho - s))
             k += 1
@@ -282,15 +287,17 @@ def sieve_bound_report(
     ctx: PrimeContext, x: float, alpha: float
 ) -> list[tuple[int, int, float, bool]]:
     """Per-d rows (d, r(d), (32/(3α²))·(|A|/log²x)·f(d), holds) over E(x, α);
-    |A| is the exact count of integers in (x − x^α, x]."""
+    |A| is the exact count of integers in (x − x^α, x].
+
+    f(d) = num[d]/den[d] from _f_sieve on ctx, which covers max(E) ≤ 2x^α ≤
+    x + x^α.  int/int division rounds correctly, as float(Fraction) does, so
+    each bound is the same float as scale·float(f_factor(d))."""
     E, r = difference_set(ctx, x, alpha)
     size_A = math.floor(x) - math.floor(x - x**alpha)
     scale = (32 / (3 * alpha**2)) * size_A / math.log(x) ** 2
-    rows = []
-    for d in E:
-        bound = scale * float(f_factor(d))
-        rows.append((d, r[d], bound, r[d] <= bound))
-    return rows
+    num, den = _f_sieve(ctx, max(E, default=0))
+    bounds = [scale * (a / b) for a, b in zip(num[E].tolist(), den[E].tolist())]
+    return [(d, r[d], bound, r[d] <= bound) for d, bound in zip(E, bounds)]
 
 
 def build_gap_report(

@@ -15,6 +15,7 @@ from landau.arith import (
     FactoredInteger,
     OutOfRangeError,
     compare_factored,
+    corner_slope,
     ell,
     factorize,
     moebius,
@@ -230,6 +231,16 @@ def test_ell_examples():
     assert ell(FactoredInteger()) == 0
     assert ell(FactoredInteger([(2, 2), (3, 1), (5, 1)])) == 12
     assert ell(FactoredInteger([(2, 2), (3, 1)])) == 7
+
+
+def test_corner_slope_is_the_ell_step_per_log():
+    # ℓ(p^k) − ℓ(p^{k−1}) over log p, with ℓ(p⁰) = 0
+    for p in (2, 3, 7, 101):
+        lp = math.log(p)
+        assert corner_slope(p, 1, lp) == p / lp
+        for k in (2, 3, 5):
+            want = ell(FactoredInteger([(p, k)])) - ell(FactoredInteger([(p, k - 1)]))
+            assert corner_slope(p, k, lp) == want / lp
 
 
 @st.composite

@@ -281,3 +281,13 @@ def test_cache_parse_errors(tmp_path):
     bad.write_text("1,1\n2,2^1\n3,02^1\n")  # a new body, but the same value
     with pytest.raises(CacheParseError, match="line 3"):
         read_table_cache(bad)
+
+
+def test_cache_refuses_well_formed_wrong_value(tmp_path, table_10k):
+    # a line that parses and increases g is still not g: the DP decides
+    bad = tmp_path / "g_table_30.csv"
+    write_table_cache(table_10k.truncate(29), bad)
+    with bad.open("a") as f:
+        f.write("30,2^40\n")
+    with pytest.raises(CacheParseError, match="line 30"):
+        read_table_cache(bad)

@@ -409,6 +409,27 @@ def test_sieve_bound_full_scan(ctx_million):
     assert all(holds for *_, holds in sieve_bound_report(ctx_million, 10**5, 0.45))
 
 
+def test_sieve_bound_rows_match_f_factor():
+    # the sieve's num/den and the exact Fraction round to the same float
+    ctx = sieve_primes(10**6 + 10**4)
+    for x in (10**3, 10**4, 10**5, 10**6):
+        for alpha in (0.3, 0.45, 0.6):
+            E, r = difference_set(ctx, x, alpha)
+            size_A = math.floor(x) - math.floor(x - x**alpha)
+            scale = (32 / (3 * alpha**2)) * size_A / math.log(x) ** 2
+            want = []
+            for d in E:
+                bound = scale * float(f_factor(d))
+                want.append((d, r[d], bound, r[d] <= bound))
+            assert sieve_bound_report(ctx, x, alpha) == want, (x, alpha)
+
+
+def test_sieve_bound_empty_difference_set(ctx_small):
+    # (8.74, 10] holds no prime, so E(10, 0.1) is empty
+    assert difference_set(ctx_small, 10, 0.1) == ([], {})
+    assert sieve_bound_report(ctx_small, 10, 0.1) == []
+
+
 def test_gap_report(ctx_million):
     rep = build_gap_report(ctx_million, 10**5, 0.45, 0.5)
     assert rep.E == tuple(sorted(rep.r))
