@@ -47,7 +47,7 @@ print(f"\nhypotheses at x = 10^5: hyp31 = {h31}, hyp32 = {h32}")
 threshold = rep.c2 * (10**5) ** 0.45
 print(f"  |E| = {len(rep.E)} >= C2·x^alpha = {threshold:.5f}: {len(rep.E) >= threshold}")
 
-# how often do the Selberg conditions fail along a dyadic window?
+# how often do the Selberg conditions fail along [xi, xi + xi/log xi]?
 frac = exceptional_measure_scan(ctx, 10**4, 0.45, 0.9, samples=200)
-print(f"\nfraction of sampled x in [xi, 2xi] failing the Selberg conditions "
+print(f"\nfraction of sampled x in [xi, xi + xi/log xi] failing the Selberg conditions "
       f"at xi = 10^4: {frac:.3f}")

@@ -97,25 +97,23 @@ def benefit(champ: ChampionRecord, M: FactoredInteger) -> float:
     return ell(M) - champ.n - champ.rho * (M.log_value - champ.N.log_value)
 
 
-def benefit_by_prime(champ: ChampionRecord, M: FactoredInteger) -> dict[int, float]:
-    """Per-prime decomposition of ben(M); every term is ≥ 0 and they sum to ben(M).
+def _prime_term(rho: float, p: int, a: int, b: int) -> float:
+    """p's term in ben(M) for p^a ∥ N, p^b ∥ M: ℓ(p^b) − ℓ(p^a) − ρ(b − a)·log p."""
+    return ((p**b if b else 0) - (p**a if a else 0)) - rho * (b - a) * math.log(p)
 
-    Term at p with exponents α in N and β in M:
-    ℓ(p^β) − ℓ(p^α) − ρ(β − α)·log p, where ℓ(p⁰) = 0.  Keys are the primes
-    of N and M, ascending.  Where α = β the term is exactly 0 − ρ·0·log p =
-    +0.0, so the formula runs only on the primes of the (p, e) pairs that
-    one factor list has and the other lacks.
-    """
+
+def benefit_by_prime(champ: ChampionRecord, M: FactoredInteger) -> dict[int, float]:
+    """ben(M) as one _prime_term per prime of N and M, ascending; each is ≥ 0.
+    Where N and M share p's exponent the term is exactly +0.0, so it is
+    computed only for the (p, e) pairs that one factor list has and the other
+    lacks."""
     own, alphas, betas = champ._factor_set, {}, {}
     for p, e in own.symmetric_difference(M.factors):
         (alphas if (p, e) in own else betas)[p] = e
     terms = champ._zero_terms.copy()
     top = next(reversed(terms), 0)
     for p in sorted(alphas.keys() | betas.keys()):
-        a, b = alphas.get(p, 0), betas.get(p, 0)
-        la = p**a if a else 0
-        lb = p**b if b else 0
-        terms[p] = (lb - la) - champ.rho * (b - a) * math.log(p)
+        terms[p] = _prime_term(champ.rho, p, alphas.get(p, 0), betas.get(p, 0))
     # primes new in M were appended after N's; restore the order if one is smaller
     if any(p < top for p in betas.keys() - alphas.keys()):
         terms = dict(sorted(terms.items()))
@@ -129,18 +127,18 @@ def verify_membership_in_G(champ: ChampionRecord, table: LandauTable) -> bool:
 
 def convexity_checks(champ: ChampionRecord, p: int, t_max: int) -> bool:
     """ben(N·p^t) ≥ t·ben(N·p) for t ≤ t_max, and ben(N·p^{−t}) ≥ t·ben(N·p^{−1})
-    for t ≤ α_p; t = 1 is equality by construction."""
-    if t_max < 1:
-        raise DomainError(f"t_max must be >= 1, got {t_max}")
-    a = champ.N.exponent_of(p)
-    up1 = benefit(champ, champ.N.with_exponent(p, a + 1))
+    for t ≤ α_p; t = 1 is equality by construction.  Each ben is p's _prime_term."""
+    if t_max < 1 or p < 2:
+        raise DomainError(f"need p >= 2 and t_max >= 1, got p={p}, t_max={t_max}")
+    rho, a = champ.rho, champ.N.exponent_of(p)
+    up1 = _prime_term(rho, p, a, a + 1)
     for t in range(1, t_max + 1):
-        if benefit(champ, champ.N.with_exponent(p, a + t)) < t * up1 - LOG_TIE_EPS:
+        if _prime_term(rho, p, a, a + t) < t * up1 - LOG_TIE_EPS:
             return False
     if a:
-        down1 = benefit(champ, champ.N.with_exponent(p, a - 1))
+        down1 = _prime_term(rho, p, a, a - 1)
         for t in range(1, a + 1):
-            if benefit(champ, champ.N.with_exponent(p, a - t)) < t * down1 - LOG_TIE_EPS:
+            if _prime_term(rho, p, a, a - t) < t * down1 - LOG_TIE_EPS:
                 return False
     return True
 

@@ -7,6 +7,7 @@ Every scientific parameter is a flag.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -38,8 +39,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _decimal(fi: FactoredInteger) -> str:
+    """fi in decimal; BudgetError past the interpreter's int-to-str digit limit,
+    read off log_value when clearly over, else from the exact conversion."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if not limit or fi.log_value / math.log(10) <= limit + 1:
+        with contextlib.suppress(ValueError):
+            return str(fi.value())
+    raise BudgetError(f"value has more than {limit} decimal digits, the interpreter's limit")
+
+
 def _g_line(n: int, fi: FactoredInteger) -> str:
-    return f"g({n}) = {fi.value()}" + (f" = {fi}" if fi.factors else "")
+    return f"g({n}) = {_decimal(fi)}" + (f" = {fi}" if fi.factors else "")
 
 
 def _cell(v) -> str:
@@ -116,11 +127,12 @@ def _check_in(name: str, value: float, low: float, high: float = math.inf) -> No
 
 def _run_g(args):
     fi = _table(args.n).g(args.n)
+    value = _decimal(fi)  # one value: checked up front, so JSON's int prints too
     _emit(
         args.format,
         lambda: {"n": args.n, "value": fi.value(), "factors": [[p, e] for p, e in fi.factors]},
         lambda: [_g_line(args.n, fi)],
-        lambda: [("n", "value", "factors"), (str(args.n), str(fi.value()), factor_token(fi.factors))],
+        lambda: [("n", "value", "factors"), (str(args.n), value, factor_token(fi.factors))],
     )
 
 
@@ -163,14 +175,12 @@ def _run_champion(args):
     _check_in("x", x, 4)
     ctx = sieve_primes(math.ceil(x))
     champ = build_champion(ctx, x)
-    ties = " ".join(str(p) for p in champ.tie_flags) or "none"
-    text = [
-        f"champion at x = {_cell(champ.x)}: N = {champ.N.value()} = {champ.N}",
+    _emit(args.format, champ.payload, lambda: [
+        f"champion at x = {_cell(champ.x)}: N = {_decimal(champ.N)} = {champ.N}",
         f"n = ell(N) = {champ.n}",
         f"rho = {_cell(champ.rho)}",
-        f"slope ties at: {ties}",
-    ]
-    _emit(args.format, champ.payload, lambda: text)
+        "slope ties at: " + (" ".join(str(p) for p in champ.tie_flags) or "none"),
+    ])
 
 
 def _run_window(args):
@@ -185,13 +195,13 @@ def _run_window(args):
     def text():
         lines = [
             f"window at x = {_cell(champ.x)}, alpha = {_cell(alpha)}: "
-            f"N = {champ.N.value()}, n = {champ.n}",
+            f"N = {_decimal(champ.N)}, n = {champ.n}",
             "d_sequence: " + " ".join(str(d) for d in report.d_sequence),
         ]
         # labelled window_g, not g: where dp_match is false the swap values
         # deliberately fall short of the table
         lines += [
-            f"window_g({m}) = {fi.value()} = {fi}"
+            f"window_g({m}) = {_decimal(fi)} = {fi}"
             for m, fi in sorted(report.window_g.items())
         ]
         lines.append("checks: " + " ".join(f"{k}={_cell(v)}" for k, v in checks.items()))

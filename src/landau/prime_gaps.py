@@ -75,11 +75,9 @@ class GapReport:
 
 def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], dict[int, int]]:
     """Exact E and r(d) by double loop over the two prime windows, up to PAIR_BUDGET pairs."""
-    _check_alpha(alpha)
-    w = x**alpha
+    qs, ps, w = _prime_windows(ctx, x, alpha)
     if not x - w > 1:
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
-    qs, ps = primes_between(ctx, x - w, x), primes_between(ctx, x, x + w)
     if len(qs) * len(ps) > PAIR_BUDGET:
         raise BudgetError(f"{len(qs)}·{len(ps)} prime pairs exceed the budget of {PAIR_BUDGET}")
     r: dict[int, int] = {}
@@ -172,24 +170,22 @@ def euler_products(ctx: PrimeContext, limit: int) -> tuple[float, float]:
     return twin_style, fsq_density
 
 
-def _interval_counts(ctx: PrimeContext, x: float, alpha: float) -> tuple[int, int, float]:
-    """π(x+x^α) − π(x), π(x) − π(x−x^α), and x^α."""
+def _prime_windows(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], list[int], float]:
+    """The primes in (x − x^α, x] and in (x, x + x^α], and x^α."""
     _check_alpha(alpha)
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     w = x**alpha
-    upper = len(primes_between(ctx, x, x + w))
-    lower = len(primes_between(ctx, x - w, x))
-    return upper, lower, w
+    return primes_between(ctx, x - w, x), primes_between(ctx, x, x + w), w
 
 
 def hypothesis_31_32(
     ctx: PrimeContext, x: float, alpha: float, epsilon: float
 ) -> tuple[bool, bool]:
     """π(x+x^α) − π(x) ≥ (1−ε)x^α/log x, and the mirror below x."""
-    upper, lower, w = _interval_counts(ctx, x, alpha)
+    qs, ps, w = _prime_windows(ctx, x, alpha)
     expected = (1 - epsilon) * w / math.log(x)
-    return upper >= expected, lower >= expected
+    return len(ps) >= expected, len(qs) >= expected
 
 
 def nearest_slope(ctx: PrimeContext, x: float) -> tuple[int, int, float]:
@@ -235,10 +231,10 @@ def selberg_conditions(
     c22: the mirror below x
     c23: |x/log x − (Q^k − Q^{k−1})/log Q| ≥ √x/log⁴x over all Q^k, k ≥ 2
     """
-    upper, lower, w = _interval_counts(ctx, x, alpha)
+    qs, ps, w = _prime_windows(ctx, x, alpha)
     expected = w / math.log(x)
-    c21 = abs(upper - expected) <= epsilon * expected
-    c22 = abs(lower - expected) <= epsilon * expected
+    c21 = abs(len(ps) - expected) <= epsilon * expected
+    c22 = abs(len(qs) - expected) <= epsilon * expected
     return c21, c22, slope_separated(ctx, x)
 
 
@@ -303,10 +299,10 @@ def sieve_bound_report(
 def build_gap_report(
     ctx: PrimeContext, x: float, alpha: float, epsilon: float
 ) -> GapReport:
+    c2 = lower_bound_constant(alpha, epsilon)[1]  # refuses a bad ε before the pair loop
     E, r = difference_set(ctx, x, alpha)
     hyp31, hyp32 = hypothesis_31_32(ctx, x, alpha, epsilon)
     c21, c22, c23 = selberg_conditions(ctx, x, alpha, epsilon)
-    c2 = lower_bound_constant(alpha, epsilon)[1]
     return GapReport(
         x=float(x),
         alpha=alpha,

@@ -64,11 +64,7 @@ class WindowReport:
                 {"m": m, "factors": [[p, e] for p, e in fi.factors], "d": m - n}
                 for m, fi in sorted(self.window_g.items())
             ],
-            "checks": {
-                "ordering": checks["ordering"],
-                "dp_match": checks["dp_match"],
-                "eq52": checks["eq52"],
-            },
+            "checks": checks,
         }
 
 

@@ -225,6 +225,8 @@ def test_factored_edits():
     assert M.with_exponent(3, 0).value() == 4
     assert M.with_exponent(5, 1).value() == 60
     assert M.exponent_of(2) == 2 and M.exponent_of(11) == 0
+    with pytest.raises(DomainError):
+        M.with_exponent(3, -1)
 
 
 def test_ell_examples():

@@ -204,6 +204,13 @@ def test_convexity_examples(ctx_small):
     assert convexity_checks(build_champion(ctx_small, 13), 13, 2)
 
 
+def test_convexity_guards(ctx_small):
+    c = build_champion(ctx_small, 13)
+    for p, t_max in ((2, 0), (1, 2), (0, 2)):
+        with pytest.raises(DomainError):
+            convexity_checks(c, p, t_max)
+
+
 def test_convexity_sweep(champion_sweep):
     for c in champion_sweep[::5]:
         for p in (2, 3, 5, int(c.x)):

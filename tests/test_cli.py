@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from landau.arith import sieve_primes
+from landau import cli
 from landau.cli import _flatten_payload
 from landau.gtable import landau_g, read_table_cache, write_table_cache
 
@@ -57,6 +59,45 @@ def test_exit_budget_error():
     out = run_cli("table", "--to", "300000")
     assert out.returncode == 2
     assert "error:" in out.stderr
+
+
+# stdout digests of `champion --x 9887` (4297 digits), fixed when the text was
+# still built eagerly
+CHAMPION_9887_SHA256 = {
+    "text": "b3290b3970a5c629c080859afd7ea593bf7119a6eb55dbc007df83ea14d8bcb3",
+    "json": "e9f290ce3711ccfd25e9185c89896af8a43741ba8e43d4f8cbf900f7a388e8ae",
+    "csv": "87e05e820353bb3bdc500dce6dd36423b5e11c0baf7aef451f3ce92b6f8b432d",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_champion_below_digit_limit_keeps_its_bytes(fmt):
+    out = run_cli("champion", "--x", "9887", "--format", fmt)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == CHAMPION_9887_SHA256[fmt]
+
+
+def test_champion_past_digit_limit():
+    # N at x = 9901 has more than the default 4300 digits: the text, which
+    # prints N in decimal, is refused; JSON and CSV carry only its factors
+    out = run_cli("champion", "--x", "9901")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "error:" in out.stderr and "Traceback" not in out.stderr
+    for fmt in ("json", "csv"):
+        assert run_cli("champion", "--x", "9901", "--format", fmt).returncode == 0
+
+
+def test_digit_limit_is_read_at_run_time(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["champion", "--x", "2003"]) == 2  # N has 860 digits
+        refused = capsys.readouterr()
+        assert refused.out == "" and "error:" in refused.err
+        assert cli.main(["champion", "--x", "1009"]) == 0  # N has 428 digits
+        assert capsys.readouterr().out.startswith("champion at x = 1009.0: N = ")
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_exit_usage_errors():

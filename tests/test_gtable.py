@@ -72,6 +72,8 @@ def test_table_feasibility(table_10k):
 def test_dp_guards(ctx_small, table_10k):
     with pytest.raises(OutOfRangeError):
         landau_g(ctx_small, 10**4 + 1)  # prime context too small
+    with pytest.raises(DomainError):
+        landau_g(ctx_small, 0)
     big = sieve_primes(200_001)
     with pytest.raises(BudgetError):
         landau_g(big, 200_001)
@@ -149,6 +151,9 @@ def test_truncate(ctx_small, table_10k):
     assert t.g(100) == table_10k.g(100)
     with pytest.raises(OutOfRangeError):
         t.g(101)
+    for m in (0, t.n_max + 1):
+        with pytest.raises(OutOfRangeError):
+            t.truncate(m)
     # a cut at an increase point, one before it, and at n = 1 is the smaller DP
     nk = table_10k.starts[bisect_right(table_10k.starts, 5000) - 1]
     for m in (nk, nk - 1, 1):
@@ -222,6 +227,8 @@ def test_gamma_matches_increase_points(table_10k):
 def test_gamma_out_of_range(table_10k):
     with pytest.raises(OutOfRangeError):
         gamma(table_10k.truncate(10), 11)
+    with pytest.raises(DomainError):
+        gamma(table_10k, 0)
 
 
 # ---------------------------------------------------------------- gap statistics

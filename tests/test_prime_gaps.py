@@ -92,6 +92,8 @@ def test_f_examples():
     assert f_factor(15) == Fraction(8, 3)
     assert f_factor(7) == Fraction(6, 5)
     assert f_factor(12) == 2  # only the odd prime 3 counts
+    with pytest.raises(DomainError):
+        f_factor(0)
 
 
 def test_h_examples():
@@ -103,6 +105,8 @@ def test_h_examples():
     for p in (3, 5, 7, 11, 13):
         assert h_convolution(p) == Fraction(2 * p - 3, (p - 2) ** 2)
         assert h_convolution(p**2) == 0
+    with pytest.raises(DomainError):
+        h_convolution(0)
 
 
 def test_h_multiplicative():
@@ -127,6 +131,8 @@ def test_h_inverts_to_f_squared():
 def test_sum_f_squared_small():
     s, holds, ratio = sum_f_squared_check(1)
     assert s == 1 and holds
+    with pytest.raises(DomainError):
+        sum_f_squared_check(0)
     s, holds, _ = sum_f_squared_check(10)
     # 16 + 2·(4/3)² + (6/5)² with f(5)=f(10)=4/3, f(7)=6/5
     assert s == Fraction(4724, 225)
@@ -335,6 +341,16 @@ def test_scan_trivial_epsilon(ctx_million):
         assert c21 and c22
 
 
+def test_scan_counts_failures(ctx_small):
+    # half of this grid fails a Selberg condition; recount it point by point
+    xi, alpha, epsilon, samples = 1000, 0.4, 0.5, 10
+    fraction = exceptional_measure_scan(ctx_small, xi, alpha, epsilon, samples)
+    xi_hi = xi + xi / math.log(xi)
+    grid = [xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples)]
+    failures = sum(not all(selberg_conditions(ctx_small, t, alpha, epsilon)) for t in grid)
+    assert fraction == failures / samples == 0.5
+
+
 def test_scan_guards(ctx_million, ctx_small):
     with pytest.raises(DomainError):
         exceptional_measure_scan(ctx_million, 10**5, 0.4, 0.9, 9)
@@ -428,6 +444,12 @@ def test_sieve_bound_empty_difference_set(ctx_small):
     # (8.74, 10] holds no prime, so E(10, 0.1) is empty
     assert difference_set(ctx_small, 10, 0.1) == ([], {})
     assert sieve_bound_report(ctx_small, 10, 0.1) == []
+
+
+def test_gap_report_refuses_epsilon_before_pairs(ctx_million, monkeypatch):
+    monkeypatch.setattr(prime_gaps, "difference_set", _refuse)
+    with pytest.raises(DomainError):
+        build_gap_report(ctx_million, 10**5, 0.45, 1.5)
 
 
 def test_gap_report(ctx_million):
