@@ -11,6 +11,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 
 from .arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, sieve_primes
@@ -32,6 +33,15 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -123 and -1.5 for negative numbers, so `--x -1e3`
+        # or `--x -inf` would read as a missing value; every spelling float()
+        # takes reaches the flag's domain check instead, as `--x=-1e3` does
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     # argparse exits 2 on bad flags by default, which collides with the
     # range-error code; usage problems get their own code instead
     def error(self, message):

@@ -136,6 +136,43 @@ def test_domain_refusals_are_exit_1(invocation):
     assert "Traceback" not in out.stderr
 
 
+# a negative float in exponent form, or -inf/-nan, right after its flag
+NEGATIVE_FLOATS = [
+    ("champion", "--x", "-1e3"),
+    ("window", "--x", "-1e3", "--alpha", "0.4"),
+    ("window", "--x", "101", "--alpha", "-1e-3"),
+    ("gaps", "--x", "-1e3", "--alpha", "0.5", "--epsilon", "0.5"),
+    ("gaps", "--x", "-inf", "--alpha", "0.5", "--epsilon", "0.5"),
+    ("gaps", "--x", "1e3", "--alpha", "-1e-3", "--epsilon", "0.5"),
+    ("gaps", "--x", "1e3", "--alpha", "0.5", "--epsilon", "-1e-300"),
+    ("constants", "--limit", "1000", "--alpha", "-1E-3"),
+    ("constants", "--limit", "1000", "--epsilon", "-1e-300"),
+    ("scan", "--xi", "-1e3", "--alpha", "0.5", "--epsilon", "0.5", "--samples", "10"),
+    ("scan", "--xi", "1e3", "--alpha", "-.5e0", "--epsilon", "0.5", "--samples", "10"),
+    ("scan", "--xi", "1e3", "--alpha", "0.5", "--epsilon", "-NaN", "--samples", "10"),
+]
+
+
+@pytest.mark.parametrize("invocation", NEGATIVE_FLOATS, ids=" ".join)
+def test_negative_exponent_floats_are_exit_1(invocation, capsys):
+    # `--flag -1e3` and `--flag=-1e3` both reach the flag's domain check
+    i = next(i for i, arg in enumerate(invocation) if arg[0] == "-" and arg[1] != "-")
+    joined = [*invocation[: i - 1], f"{invocation[i - 1]}={invocation[i]}", *invocation[i + 1 :]]
+    for argv in (list(invocation), joined):
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "Traceback" not in out.err
+
+
+def test_scan_sample_budget_is_exit_2(capsys):
+    start = time.perf_counter()
+    argv = ["scan", "--xi", "10000", "--alpha", "0.45", "--epsilon", "0.9", "--samples", "100000000"]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "invocation",
     [

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from landau.arith import (
     OutOfRangeError,
     factorize,
     prime_count,
+    primes_between,
     sieve_primes,
 )
 from landau.champions import build_champion, champion_exponent
@@ -81,6 +83,48 @@ def test_difference_set_bounds(ctx_million):
     assert E == sorted(r)
     assert all(r[d] >= 1 for d in E)
     assert all(0 < d <= 2 * (10**5) ** 0.45 for d in E)
+
+
+def difference_set_by_loop(ctx, x, alpha):
+    """Reference: every pair of the two windows, one dict update each."""
+    w = x**alpha
+    r = {}
+    for p in primes_between(ctx, x, x + w):
+        for q in primes_between(ctx, x - w, x):
+            r[p - q] = r.get(p - q, 0) + 1
+    return sorted(r), dict(sorted(r.items()))
+
+
+def assert_same_pairs(got, want):
+    (E, r), (want_E, want_r) = got, want
+    assert E == want_E and r == want_r
+    assert list(r) == list(want_r)  # keys ascending, as E
+    assert all(type(d) is int for d in E)
+    assert all(type(d) is int and type(n) is int for d, n in r.items())
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    x=st.floats(min_value=2, max_value=2 * 10**4),
+    alpha=st.floats(min_value=0.05, max_value=0.7),
+    cells=st.sampled_from([1, 5, 64, prime_gaps._PAIR_BLOCK_CELLS]),
+)
+def test_difference_set_matches_double_loop(ctx_million, x, alpha, cells):
+    # small blocks of cells put one row of Q, or a few, in each bincount
+    with mock.patch.object(prime_gaps, "_PAIR_BLOCK_CELLS", cells):
+        if not x - x**alpha > 1:
+            with pytest.raises(DomainError):
+                difference_set(ctx_million, x, alpha)
+            return
+        assert_same_pairs(difference_set(ctx_million, x, alpha), difference_set_by_loop(ctx_million, x, alpha))
+
+
+def test_difference_set_matches_double_loop_at_scale(ctx_million):
+    for x, alpha in ((10**5, 0.45), (9 * 10**5, 0.45), (5 * 10**5, 0.7)):
+        want = difference_set_by_loop(ctx_million, x, alpha)
+        assert_same_pairs(difference_set(ctx_million, x, alpha), want)
+        with mock.patch.object(prime_gaps, "_PAIR_BLOCK_CELLS", 1000):
+            assert_same_pairs(difference_set(ctx_million, x, alpha), want)
 
 
 # ---------------------------------------------------------------- f and h
@@ -207,6 +251,44 @@ def test_sum_f_squared_refuses_past_sieve_guard(monkeypatch):
     monkeypatch.setattr(prime_gaps, "np", _NoArrays())
     with pytest.raises(BudgetError):
         sum_f_squared_check(SIEVE_GUARD + 1)
+
+
+def f_sieve_by_slices(ctx, limit):
+    """Reference: one slice multiply per odd prime ≤ limit."""
+    num, den = np.ones((2, limit + 1), dtype=np.int32)
+    for p in ctx.primes:
+        if 2 < p <= limit:
+            num[p::p] *= p - 1
+            den[p::p] *= p - 2
+    return num, den
+
+
+def test_f_sieve_matches_slice_loop():
+    # every square k² and its neighbours move √limit across a prime
+    ctx = sieve_primes(10**5)
+    limits = [*range(401), *(k * k + d for k in range(2, 101) for d in (-1, 0, 1)), 10**5]
+    for limit in limits:
+        num, den = prime_gaps._f_sieve(ctx, limit)
+        want_num, want_den = f_sieve_by_slices(ctx, limit)
+        assert num.dtype == den.dtype == np.int32
+        assert np.array_equal(num, want_num) and np.array_equal(den, want_den), limit
+
+
+def square_sums_by_dict(num, den):
+    """Reference: num[n]² added into one Python int per den[n], n by n."""
+    groups = {}
+    for a, b in zip(num[1:].tolist(), den[1:].tolist()):
+        groups[b] = groups.get(b, 0) + a * a
+    return groups
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_square_sums_across_row_blocks(monkeypatch, rows):
+    monkeypatch.setattr(prime_gaps, "_ROW_BLOCK", rows)
+    for limit in (1, 2, 255, 256, 257, 3000):
+        num, den = prime_gaps._f_sieve(sieve_primes(max(limit, 2)), limit)
+        assert prime_gaps._square_sums(num, den) == square_sums_by_dict(num, den)
+        assert_same_as_fraction_sum(limit)
 
 
 def test_sum_f_squared_large():
@@ -349,6 +431,17 @@ def test_scan_counts_failures(ctx_small):
     grid = [xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples)]
     failures = sum(not all(selberg_conditions(ctx_small, t, alpha, epsilon)) for t in grid)
     assert fraction == failures / samples == 0.5
+
+
+def test_scan_sample_budget(ctx_million, monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 10**8)
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.setattr(prime_gaps, "SAMPLE_BUDGET", 200)
+    assert 0 <= exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 200) <= 1
+    with pytest.raises(BudgetError):
+        exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 201)
 
 
 def test_scan_guards(ctx_million, ctx_small):
