@@ -1,4 +1,4 @@
-"""Prime sieving and factorization, Möbius, the cost ℓ, exact factored arithmetic.
+"""Prime sieving and factorization, the cost ℓ, exact factored arithmetic.
 
 ℓ is additive with ℓ(p^k) = p^k for k ≥ 1 and ℓ(1) = 0.  Everything downstream
 (g(n) tables, champions, swap neighborhoods) keeps integers in factored form:
@@ -86,23 +86,6 @@ class FactoredInteger:
                 v *= p**e
             self._value = v
         return self._value
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
-    def with_exponent(self, p: int, e: int) -> "FactoredInteger":
-        """Copy with the exponent of p set to e; e = 0 drops the prime."""
-        if e < 0:
-            raise DomainError(f"exponent must be >= 0, got {e}")
-        merged = dict(self.factors)
-        if e == 0:
-            merged.pop(p, None)
-        else:
-            merged[p] = e
-        return FactoredInteger(sorted(merged.items()))
 
     def __eq__(self, other):
         return isinstance(other, FactoredInteger) and self.factors == other.factors
@@ -214,14 +197,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         fs.append((n, 1))
     return fs
-
-
-def moebius(n: int) -> int:
-    """μ(n): 0 on a squared factor, else (−1)^(number of prime factors)."""
-    if n < 1:
-        raise DomainError(f"moebius undefined for n={n}")
-    fs = factorize(n)
-    return 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
 
 
 def ell(M: FactoredInteger) -> int:

@@ -18,15 +18,12 @@ from .arith import (
     LOG_TIE_EPS,
     DomainError,
     FactoredInteger,
-    OutOfRangeError,
     PrimeContext,
     corner_slope,
     ell,
     primes_between,
 )
 from .gtable import LandauTable
-
-RHO_MIN = 2 / math.log(2)  # = 4/log 4, the x = 4 corner
 
 
 @dataclass(frozen=True)
@@ -67,13 +64,6 @@ def _exponent_with_tie(p: int, rho: float) -> tuple[int, bool]:
             return k, tie
         tie = tie or s > rho - LOG_TIE_EPS  # boundary tie: larger exponent wins
         k += 1
-
-
-def champion_exponent(p: int, rho: float) -> int:
-    """Largest k ≥ 0 whose corner slope stays ≤ ρ; ties take the larger k."""
-    if not RHO_MIN < rho < math.inf:
-        raise DomainError(f"rho must be finite and exceed 2/log 2 ≈ {RHO_MIN:.4f}, got {rho}")
-    return _exponent_with_tie(p, rho)[0]
 
 
 def build_champion(ctx: PrimeContext, x: float) -> ChampionRecord:
@@ -123,38 +113,3 @@ def benefit_by_prime(champ: ChampionRecord, M: FactoredInteger) -> dict[int, flo
 def verify_membership_in_G(champ: ChampionRecord, table: LandauTable) -> bool:
     """True iff g(n) = N at n = ℓ(N) — the computable face of champion-hood."""
     return table.g(champ.n) == champ.N
-
-
-def convexity_checks(champ: ChampionRecord, p: int, t_max: int) -> bool:
-    """ben(N·p^t) ≥ t·ben(N·p) for t ≤ t_max, and ben(N·p^{−t}) ≥ t·ben(N·p^{−1})
-    for t ≤ α_p; t = 1 is equality by construction.  Each ben is p's _prime_term."""
-    if t_max < 1 or p < 2:
-        raise DomainError(f"need p >= 2 and t_max >= 1, got p={p}, t_max={t_max}")
-    rho, a = champ.rho, champ.N.exponent_of(p)
-    up1 = _prime_term(rho, p, a, a + 1)
-    for t in range(1, t_max + 1):
-        if _prime_term(rho, p, a, a + t) < t * up1 - LOG_TIE_EPS:
-            return False
-    if a:
-        down1 = _prime_term(rho, p, a, a - 1)
-        for t in range(1, a + 1):
-            if _prime_term(rho, p, a, a - t) < t * down1 - LOG_TIE_EPS:
-                return False
-    return True
-
-
-def attain_largest_prime_factor(ctx: PrimeContext, p: int, table: LandauTable) -> int:
-    """An n whose g(n) has largest prime factor exactly p.
-
-    For p ≥ 5 the champion at x = p does it (its top prime is p and champions
-    are g-values); g(2) = 2 and g(3) = 3 settle p ∈ {2, 3}.
-    """
-    if primes_between(ctx, p - 1, p) != [p]:
-        raise DomainError(f"p={p} is not prime")
-    if p in (2, 3):
-        n = p
-    else:
-        n = build_champion(ctx, p).n
-    if table.n_max < n:
-        raise OutOfRangeError(f"table n_max={table.n_max} < required n={n}")
-    return n

@@ -18,7 +18,6 @@ from landau.arith import (
     corner_slope,
     ell,
     factorize,
-    moebius,
     prime_count,
     primes_between,
     sieve_primes,
@@ -172,32 +171,10 @@ def test_factorize_large_n():
         factorize(0)
 
 
-@pytest.mark.parametrize("fn", [factorize, moebius])
-def test_unproven_large_cofactor_refused(fn):
+def test_unproven_large_cofactor_refused():
     # 2⁸⁹ − 1 is prime, but past the Miller–Rabin range and far past trial division
     with pytest.raises(BudgetError):
-        fn(2**89 - 1)
-
-
-# ---------------------------------------------------------------- moebius
-
-
-def test_moebius_examples():
-    assert moebius(1) == 1
-    assert moebius(30) == -1
-    assert moebius(12) == 0
-    with pytest.raises(DomainError):
-        moebius(0)
-
-
-def test_moebius_divisor_sums():
-    # Σ_{d|n} μ(d) is 1 at n=1 and 0 for every 2 ≤ n ≤ 10^4
-    N = 10**4
-    acc = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        acc[d::d] += moebius(d)
-    assert acc[1] == 1
-    assert not acc[2:].any()
+        factorize(2**89 - 1)
 
 
 # ---------------------------------------------------------------- FactoredInteger / ell
@@ -218,15 +195,6 @@ def test_factored_value_and_log():
     assert math.isclose(M.log_value, math.log(420), rel_tol=1e-12)
     assert str(M) == "2^2·3·5·7"
     assert str(FactoredInteger()) == "1"
-
-
-def test_factored_edits():
-    M = FactoredInteger([(2, 2), (3, 1)])
-    assert M.with_exponent(3, 0).value() == 4
-    assert M.with_exponent(5, 1).value() == 60
-    assert M.exponent_of(2) == 2 and M.exponent_of(11) == 0
-    with pytest.raises(DomainError):
-        M.with_exponent(3, -1)
 
 
 def test_ell_examples():

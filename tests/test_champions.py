@@ -5,15 +5,7 @@ from dataclasses import replace
 import pytest
 
 from landau.arith import DomainError, FactoredInteger, OutOfRangeError, ell
-from landau.champions import (
-    attain_largest_prime_factor,
-    benefit,
-    benefit_by_prime,
-    build_champion,
-    champion_exponent,
-    convexity_checks,
-    verify_membership_in_G,
-)
+from landau.champions import benefit, benefit_by_prime, build_champion, verify_membership_in_G
 from landau.windows import enumerate_B
 
 PRIMES_300 = [p for p in range(2, 300) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -25,23 +17,6 @@ def random_M(rng):
     fs = sorted(rng.sample(PRIMES_300, rng.randint(1, 8)))
     cap = lambda p: int(math.log(10**4) / math.log(p))
     return FactoredInteger([(p, rng.randint(1, min(4, cap(p)))) for p in fs])
-
-
-# ---------------------------------------------------------------- exponent rule
-
-
-def test_champion_exponent_examples():
-    rho5 = 5 / math.log(5)
-    assert champion_exponent(2, rho5) == 2
-    assert champion_exponent(7, 7 / math.log(7)) == 1  # boundary tie, inclusive
-    assert champion_exponent(11, rho5) == 0
-
-
-def test_champion_exponent_domain():
-    # ρ = ∞ ran about 650 rounds, then overflowed converting p^k to float
-    for rho in (2.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            champion_exponent(3, rho)
 
 
 # ---------------------------------------------------------------- construction
@@ -139,6 +114,12 @@ def benefit_by_prime_every_prime(champ, M):
     return terms
 
 
+def with_exp(N, p, e):
+    """N with the exponent of p set to e; e = 0 drops p."""
+    fs = dict(N.factors) | {p: e}
+    return FactoredInteger(sorted((q, k) for q, k in fs.items() if k))
+
+
 def assert_same_terms(champ, M):
     got, want = benefit_by_prime(champ, M), benefit_by_prime_every_prime(champ, M)
     # keys in order, and floats bit for bit (hex tells +0.0 from −0.0)
@@ -157,10 +138,10 @@ def test_benefit_terms_bit_identical_on_exponent_changes(ctx_small):
         champ = build_champion(ctx_small, x)
         N = champ.N
         for p, a in N.factors[:3] + N.factors[-2:]:
-            assert_same_terms(champ, N.with_exponent(p, a + 1))  # raise
-            assert_same_terms(champ, N.with_exponent(p, a - 1))  # lower (drops when a = 1)
-            assert_same_terms(champ, N.with_exponent(p, 0))  # drop
-        assert_same_terms(champ, N.with_exponent(ctx_small.primes[len(N.factors) + 1], 2))  # new prime
+            assert_same_terms(champ, with_exp(N, p, a + 1))  # raise
+            assert_same_terms(champ, with_exp(N, p, a - 1))  # lower (drops when a = 1)
+            assert_same_terms(champ, with_exp(N, p, 0))  # drop
+        assert_same_terms(champ, with_exp(N, ctx_small.primes[len(N.factors) + 1], 2))  # new prime
         assert_same_terms(champ, FactoredInteger())
 
 
@@ -169,9 +150,9 @@ def test_benefit_terms_bit_identical_with_prime_between(ctx_small):
     N = FactoredInteger([(2, 3), (5, 1), (11, 2), (13, 1)])
     champ = replace(build_champion(ctx_small, 13), N=N, n=ell(N))
     for M in (
-        N.with_exponent(7, 1),
-        N.with_exponent(3, 2).with_exponent(17, 1),
-        N.with_exponent(13, 0).with_exponent(3, 1),
+        with_exp(N, 7, 1),
+        with_exp(with_exp(N, 3, 2), 17, 1),
+        with_exp(with_exp(N, 13, 0), 3, 1),
         FactoredInteger([(3, 1), (7, 2), (19, 1)]),
     ):
         assert_same_terms(champ, M)
@@ -181,7 +162,7 @@ def test_benefit_terms_bit_identical_with_prime_between(ctx_small):
         assert_same_terms(champ, random_M(rng))
 
 
-# ---------------------------------------------------------------- membership / convexity
+# ---------------------------------------------------------------- membership
 
 
 def test_membership_examples(ctx_small, table_10k):
@@ -199,53 +180,12 @@ def test_membership_needs_table(ctx_small, table_10k):
         verify_membership_in_G(build_champion(ctx_small, 199), table_10k.truncate(100))
 
 
-def test_convexity_examples(ctx_small):
-    assert convexity_checks(build_champion(ctx_small, 5), 2, 3)
-    assert convexity_checks(build_champion(ctx_small, 13), 13, 2)
-
-
-def test_convexity_guards(ctx_small):
-    c = build_champion(ctx_small, 13)
-    for p, t_max in ((2, 0), (1, 2), (0, 2)):
-        with pytest.raises(DomainError):
-            convexity_checks(c, p, t_max)
-
-
-def test_convexity_sweep(champion_sweep):
-    for c in champion_sweep[::5]:
-        for p in (2, 3, 5, int(c.x)):
-            assert convexity_checks(c, p, 4)
-        assert convexity_checks(c, 1009, 2)  # a prime beyond x: only the 4.9 side
-
-
-def test_convexity_t1_is_equality(ctx_small):
-    c = build_champion(ctx_small, 5)
-    assert convexity_checks(c, 2, 1)
-    a = c.N.exponent_of(2)
-    up1 = benefit(c, c.N.with_exponent(2, a + 1))
-    assert up1 >= 0 and up1 == 1 * up1  # t = 1 compares a value with itself
-
-
 # ---------------------------------------------------------------- attainment
 
 
-def test_attain_examples(ctx_small, table_10k):
-    assert attain_largest_prime_factor(ctx_small, 2, table_10k) == 2
-    assert attain_largest_prime_factor(ctx_small, 3, table_10k) == 3
-    assert attain_largest_prime_factor(ctx_small, 5, table_10k) == 12
-    assert attain_largest_prime_factor(ctx_small, 7, table_10k) == 19
-
-
 def test_attain_property_all_primes_to_199(ctx_small, table_10k):
-    for p in [q for q in PRIMES_300 if q <= 199]:
-        n = attain_largest_prime_factor(ctx_small, p, table_10k)
-        assert table_10k.g(n).factors[-1][0] == p
-
-
-def test_attain_guards(ctx_small, table_10k):
-    with pytest.raises(DomainError):
-        attain_largest_prime_factor(ctx_small, 6, table_10k)
-    with pytest.raises(OutOfRangeError):
-        attain_largest_prime_factor(ctx_small, 199, table_10k.truncate(50))
-    with pytest.raises(OutOfRangeError):
-        attain_largest_prime_factor(ctx_small, 10007, table_10k)  # past the sieve
+    # every prime p ≤ 199 is the largest prime factor of some g(n): g(2) = 2,
+    # g(3) = 3, and for p ≥ 5 the champion at x = p, which is g(ℓ(N))
+    assert [table_10k.g(n).factors[-1][0] for n in (2, 3)] == [2, 3]
+    for p in [q for q in PRIMES_300 if 5 <= q <= 199]:
+        assert table_10k.g(build_champion(ctx_small, p).n).factors[-1][0] == p

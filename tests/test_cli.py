@@ -9,10 +9,11 @@ import time
 
 import pytest
 
-from landau.arith import sieve_primes
+from landau.arith import SIEVE_GUARD, sieve_primes
 from landau import cli
 from landau.cli import _flatten_payload
-from landau.gtable import landau_g, read_table_cache, write_table_cache
+from landau.gtable import TABLE_GUARD, landau_g, read_table_cache, write_table_cache
+from landau.prime_gaps import SAMPLE_BUDGET
 
 CMD = [sys.executable, "-m", "landau"]
 
@@ -191,6 +192,57 @@ def test_oversized_sieve_is_exit_2(invocation):
     assert out.returncode == 2
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+# every flag of every subcommand at a small valid value
+FUZZ_DEFAULTS = {
+    "g": {"--n": "50"},
+    "table": {"--to": "50"},
+    "increase-points": {"--to": "50"},
+    "gamma": {"--n": "50"},
+    "champion": {"--x": "13"},
+    "window": {"--x": "13", "--alpha": "0.45"},
+    "gaps": {"--x": "1000", "--alpha": "0.45", "--epsilon": "0.5"},
+    "constants": {"--limit": "1000", "--alpha": "1.0", "--epsilon": "0.0"},
+    "scan": {"--xi": "1000", "--alpha": "0.45", "--epsilon": "0.5", "--samples": "10"},
+}
+FUZZ_VALUES = [
+    "nan", "inf", "-inf", "-0.0", "0", "1", "4", repr(4 + 1e-9), "1e308", "1e-300", "-1e3", "abc",
+]
+# one past the guard a flag's size meets first; at or below a guard the work
+# is real (a DP to 2·10⁵, a sieve to 10⁸, 10⁶ scan points)
+FUZZ_PAST_GUARD = {
+    "--n": TABLE_GUARD + 1,
+    "--to": TABLE_GUARD + 1,
+    "--limit": SIEVE_GUARD + 1,
+    "--x": SIEVE_GUARD + 1,
+    "--xi": SIEVE_GUARD + 1,
+    "--samples": SAMPLE_BUDGET + 1,
+}
+
+
+def fuzz_argvs():
+    """Each subcommand with one flag at a time set to a special value."""
+    for command, defaults in FUZZ_DEFAULTS.items():
+        for flag in [*defaults, "--format"]:
+            past = [str(FUZZ_PAST_GUARD[flag])] if flag in FUZZ_PAST_GUARD else []
+            for value in FUZZ_VALUES + past:
+                flags = {**defaults, flag: value}
+                yield [command, *(t for pair in flags.items() for t in pair)]
+
+
+def test_every_flag_value_ends_in_an_answer_or_a_refusal(capsys):
+    for argv in fuzz_argvs():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            code = exc.code
+        except Exception as exc:  # name the argv; the chained traceback says where
+            raise AssertionError(" ".join(argv)) from exc
+        out = capsys.readouterr()
+        assert code in (0, 1, 2, 64), argv
+        assert "Traceback" not in out.err, argv
+        assert code == 0 or out.out == "", argv
 
 
 # ---------------------------------------------------------------- csv output

@@ -20,7 +20,7 @@ from landau.arith import (
     primes_between,
     sieve_primes,
 )
-from landau.champions import build_champion, champion_exponent
+from landau.champions import build_champion
 from landau.prime_gaps import (
     C1_EXACT,
     build_gap_report,
@@ -475,7 +475,6 @@ NAN = float("nan")
         lambda ctx: selberg_conditions(ctx, NAN, 0.4, 0.5),
         lambda ctx: nearest_slope(ctx, NAN),
         lambda ctx: build_champion(ctx, NAN),
-        lambda ctx: champion_exponent(3, NAN),
     ],
 )
 def test_alpha_and_nan_x_refused(ctx_small, call):

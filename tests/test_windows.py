@@ -109,10 +109,11 @@ def test_candidate_invariants(rep13, rep31, rep100, rep101):
     for rep in (rep13, rep31, rep100, rep101):
         champ, x = rep.champion, rep.champion.x
         w = 4 * x**rep.alpha
+        exps = dict(champ.N.factors)
         for c in rep.candidates:
             assert len(c.P_list) == len(c.Q_list)
             assert all(x < p <= x + w for p in c.P_list)
-            assert all(x - w <= q <= x and champ.N.exponent_of(q) == 1 for q in c.Q_list)
+            assert all(x - w <= q <= x and exps.get(q) == 1 for q in c.Q_list)
             assert c.d == sum(c.P_list) - sum(c.Q_list) == ell(c.value) - champ.n
             assert 0 <= c.d <= 2 * x**rep.alpha
             num, den = math.prod(c.P_list), math.prod(c.Q_list)
@@ -138,7 +139,8 @@ def test_derived_candidates_equal_dict_swaps(ctx_million, x, alpha):
     # order and d: the empty swap, then every (P, Q) with 0 ≤ d ≤ 2x^α by
     # swap count, then lexicographically
     qs_desc, ps = surrounding_primes(ctx_million, x, alpha)
-    qs = sorted(q for q in qs_desc if champ.N.exponent_of(q) == 1)
+    exps = dict(champ.N.factors)
+    qs = sorted(q for q in qs_desc if exps.get(q) == 1)
     expected = [((), (), 0)]
     for r in range(1, min(len(ps), len(qs)) + 1):
         if sum(ps[:r]) - sum(qs[-r:]) > 2 * x**alpha:
@@ -159,7 +161,7 @@ def test_derived_candidates_equal_dict_swaps(ctx_million, x, alpha):
 
 def test_enumerate_B_refuses_prime_above_x(ctx_million):
     champ = build_champion(ctx_million, 13)
-    N = champ.N.with_exponent(17, 1)
+    N = FactoredInteger([*champ.N.factors, (17, 1)])
     with pytest.raises(DomainError):
         enumerate_B(replace(champ, N=N, n=ell(N)), 0.45, ctx_million)
 
