@@ -11,7 +11,7 @@ champion-hood, prime by prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .arith import (
@@ -34,7 +34,7 @@ class ChampionRecord:
     rho: float
     N: FactoredInteger
     n: int
-    tie_flags: tuple[int, ...] = field(default=())
+    tie_flags: tuple[int, ...]
 
     def payload(self) -> dict:
         return {

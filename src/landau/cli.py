@@ -232,7 +232,7 @@ def _run_gaps(args):
         "E = " + (" ".join(str(d) for d in report.E) or "empty"),
         "r = " + (" ".join(f"{d}:{report.r[d]}" for d in sorted(report.r)) or "empty"),
         f"hyp31 = {_cell(report.hyp31)}, hyp32 = {_cell(report.hyp32)}",
-        f"selberg = {_cell(report.selberg21)} {_cell(report.selberg22)} {_cell(report.selberg23)}",
+        "selberg = " + " ".join(_cell(c) for c in report.selberg),
         f"c2 = {_cell(report.c2)}",
         f"lower_bound_holds = {_cell(report.lower_bound_holds)}",
     ]

@@ -61,12 +61,6 @@ class LandauTable:
             raise OutOfRangeError(f"n={n} outside table range [1, {self.n_max}]")
         return self.runs[bisect_right(self.starts, n) - 1]
 
-    def truncate(self, m: int) -> "LandauTable":
-        if not 1 <= m <= self.n_max:
-            raise OutOfRangeError(f"cannot truncate to m={m} (n_max={self.n_max})")
-        k = bisect_right(self.starts, m)
-        return LandauTable(n_max=m, starts=self.starts[:k], runs=self.runs[:k])
-
 
 @dataclass(frozen=True)
 class IncreasePoints:
@@ -129,12 +123,12 @@ def _exact(primes: list[int], choice: list[np.ndarray], k: int) -> int:
     return v
 
 
-def _relax_prime(logs, p: int, primes: list[int], choice: list[np.ndarray], eps: float):
+def _relax_prime(logs, p: int, primes: list[int], choice: list[np.ndarray]):
     """Relax the row `logs` with every power of p; returns the new row.
 
     Appends p to `primes` and its uint8 row of winning exponents to `choice`.
-    A cell whose best and second-best candidates lie within eps is settled by
-    expanding every candidate within eps of the best exactly.
+    A cell whose best and second-best candidates lie within LOG_TIE_EPS is
+    settled by expanding every candidate within LOG_TIE_EPS of the best exactly.
     """
     n = len(logs) - 1
     lp = math.log(p)
@@ -148,13 +142,13 @@ def _relax_prime(logs, p: int, primes: list[int], choice: list[np.ndarray], eps:
         np.maximum(s, np.minimum(cand, b), out=s)
         row[c:][cand > b] = e
         np.maximum(b, cand, out=b)
-    for j in np.flatnonzero(best - second < eps).tolist():
+    for j in np.flatnonzero(best - second < LOG_TIE_EPS).tolist():
         top, win = best[j], None
         for e, c in enumerate(costs):
             if c > j:
                 break
             cand = logs[j - c] + e * lp
-            if cand > top - eps:
+            if cand > top - LOG_TIE_EPS:
                 v = _exact(primes, choice, j - c) * p**e
                 if win is None or v > win[0]:
                     win = (v, e, cand)
@@ -190,7 +184,7 @@ def _relax(ctx: PrimeContext, n_max: int):
             if gain >= math.log(q) + eps:
                 i = bisect_right(ps, gain - eps, lo=i + 1, key=math.log)
                 continue
-        logs = _relax_prime(logs, q, primes, choice, eps)
+        logs = _relax_prime(logs, q, primes, choice)
         i += 1
     return logs, primes, choice
 

@@ -53,9 +53,7 @@ class GapReport:
     r: dict[int, int]
     hyp31: bool
     hyp32: bool
-    selberg21: bool
-    selberg22: bool
-    selberg23: bool
+    selberg: tuple[bool, bool, bool]  # c21, c22, c23, as selberg_conditions returns them
     c2: float
 
     @property
@@ -71,7 +69,7 @@ class GapReport:
             "r": {str(d): self.r[d] for d in sorted(self.r)},
             "hyp31": self.hyp31,
             "hyp32": self.hyp32,
-            "selberg": [self.selberg21, self.selberg22, self.selberg23],
+            "selberg": list(self.selberg),
             "c2": self.c2,
             "lower_bound_holds": self.lower_bound_holds,
         }
@@ -347,7 +345,6 @@ def build_gap_report(
     c2 = lower_bound_constant(alpha, epsilon)[1]  # refuses a bad ε before the pair loop
     E, r = difference_set(ctx, x, alpha)
     hyp31, hyp32 = hypothesis_31_32(ctx, x, alpha, epsilon)
-    c21, c22, c23 = selberg_conditions(ctx, x, alpha, epsilon)
     return GapReport(
         x=float(x),
         alpha=alpha,
@@ -356,8 +353,6 @@ def build_gap_report(
         r=r,
         hyp31=hyp31,
         hyp32=hyp32,
-        selberg21=c21,
-        selberg22=c22,
-        selberg23=c23,
+        selberg=selberg_conditions(ctx, x, alpha, epsilon),
         c2=c2,
     )

@@ -312,8 +312,8 @@ def test_criterion_10_prime_ratio_bracket():
 # ---------------------------------------------------------------- 11: gaps
 
 
-def test_criterion_11_small_increase_gaps(table_10k):
-    stats = gap_statistics(increase_points(table_10k.truncate(3000)))
+def test_criterion_11_small_increase_gaps(ctx_small):
+    stats = gap_statistics(increase_points(landau_g(ctx_small, 3000)))
     twos = stats.histogram.get(2, 0)
     ok = stats.min_gap == 1 and twos > 0
     assert _verdict(

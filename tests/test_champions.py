@@ -6,6 +6,7 @@ import pytest
 
 from landau.arith import DomainError, FactoredInteger, OutOfRangeError, ell
 from landau.champions import benefit, benefit_by_prime, build_champion, verify_membership_in_G
+from landau.gtable import landau_g
 from landau.windows import enumerate_B
 
 PRIMES_300 = [p for p in range(2, 300) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -175,9 +176,9 @@ def test_membership_sweep(champion_sweep, table_10k):
     assert all(verify_membership_in_G(c, table_10k) for c in champion_sweep)
 
 
-def test_membership_needs_table(ctx_small, table_10k):
+def test_membership_needs_table(ctx_small):
     with pytest.raises(OutOfRangeError):
-        verify_membership_in_G(build_champion(ctx_small, 199), table_10k.truncate(100))
+        verify_membership_in_G(build_champion(ctx_small, 199), landau_g(ctx_small, 100))
 
 
 # ---------------------------------------------------------------- attainment

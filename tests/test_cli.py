@@ -245,6 +245,71 @@ def test_every_flag_value_ends_in_an_answer_or_a_refusal(capsys):
         assert code == 0 or out.out == "", argv
 
 
+# stdout digests of one run per command and format; see the test's docstring
+CLI_SHA256 = {
+    ("g", "--n", "50"): {
+        "text": "22a4132eb943531e9b3865c0e2927fbe1c5823c6b67aa94fd4ff52661e344284",
+        "json": "2fcab84ca1bd595ee8c7475a98b570672bd864e408f85080e9f211be5fe2b4ae",
+        "csv": "926cc4cdbb9cf2463e7eebc2e9aba31ed9e66fca50d214b63a69695a5d2efe5f",
+    },
+    ("table", "--to", "30"): {
+        "text": "0cafc967ab9a1d0e3ac5a6430bbff874dc872fe74e40b00605227f2848b655b5",
+        "json": "ca20ea85d4af38047f5d1fe522e36e0bf9866c3d0aaddc26f7f3ff5c081033c1",
+        "csv": "38d6c67caa164200254dbb839b9de4ad5bc00f0383887265b9f1c7900932ed7f",
+    },
+    ("increase-points", "--to", "100"): {
+        "text": "37c1dfb6bac0862eb9f7cace69ec88af7496d3b7c3069f9225c468d92cf62428",
+        "json": "4f29a8394c349154e63ae1979c7de8b45a2caf29ad170099fb65d53f35d468b7",
+        "csv": "f831519915de795b8bfce67bd6283a3fd8dd2f74102f818432bfc6c6947cc89d",
+    },
+    ("gamma", "--n", "100"): {
+        "text": "f2132bbcf50295284d7e97313b037d1af3fd511c750e21a616166f1ddbe40459",
+        "json": "d4f451ac77ef11dd3c490423142e5f4d7cfc79a9cc6c3eae896e848dbd59c9c4",
+        "csv": "42dda3197e6ff12c84472cc7566662fdf58c7a285b844a7795a116412c4b0d84",
+    },
+    ("champion", "--x", "13"): {
+        "text": "3526a725b10a4e55df6bad8d1445fdc421c8a640ad9822cc665d7671ec2bc031",
+        "json": "6b1f7be1aee2978bf6889e82818532c8786096522f280be87e5357cfbd7efc3b",
+        "csv": "bb707e8609a16ad8878c57d181066748a9aac983f1806ef47098651a3bd474a8",
+    },
+    ("window", "--x", "13", "--alpha", "0.45"): {
+        "text": "5dafc1bf3784775cd1f72924cccadada78f59936b926b7e0631b0c2fe6608fa6",
+        "json": "a5bcef6d9350e1c027539ca87759d5cc31acf4a6ae0d1829544ee2c55c0840be",
+        "csv": "d12b93a344ef3ae9428114bf126ab021363b8542b7df0a1fa4e4311ab7c31cde",
+    },
+    ("gaps", "--x", "1000", "--alpha", "0.45", "--epsilon", "0.5"): {
+        "text": "ff301282343a2fee5dc1414f2035815469eef87ae230ff53eb387406e4ff6d5f",
+        "json": "558899569d52d9de0f1891b8bebabee0632649f9694ce973b9ded9a5b6d64f8e",
+        "csv": "5798343ed67612df322c5ba7183ea9a91c6e8443b76c8a2f72f90d554bae5703",
+    },
+    ("constants", "--limit", "10000"): {
+        "text": "573c94628a35cb5505eda2eb8d80f977ff5da309ace524785c22a8b21374afe8",
+        "json": "ebd716020d9c7c138db3e1290a165d839b4684871ca073e8ac243507fcefef88",
+        "csv": "df92575d1eccf0935fdd1d68cdde34f52bd856c92abc9e34dab395f2558be039",
+    },
+    ("scan", "--xi", "1000", "--alpha", "0.45", "--epsilon", "0.9", "--samples", "20"): {
+        "text": "68315071faf8c3d5bda8bc5b6f7339d52a654576df1cdebf06e60033987bb65f",
+        "json": "0098331687689220b70e63b284d66fef0dab72cf2d3ac85b39a72944f2810ba4",
+        "csv": "df857f2331ed581d883b0305dc07852bc50ff806f6d288012b04c247d8b0a040",
+    },
+}
+
+
+def test_cli_stdout_keeps_its_bytes(capsys):
+    """Each command's stdout in each format is the frozen one, byte for byte.
+
+    The digests were taken on Linux x86-64 with CPython 3.11 and numpy 2.4.
+    champion, gaps, constants and scan print computed floats (ρ and the scan's
+    comparator come from math.log), so another platform's libm or numpy may
+    change a last digit there.
+    """
+    for invocation, digests in CLI_SHA256.items():
+        for fmt, digest in digests.items():
+            assert cli.main([*invocation, "--format", fmt]) == 0, (invocation, fmt)
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (invocation, fmt)
+
+
 # ---------------------------------------------------------------- csv output
 
 

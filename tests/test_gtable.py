@@ -78,7 +78,7 @@ def test_dp_guards(ctx_small, table_10k):
     with pytest.raises(BudgetError):
         landau_g(big, 200_001)
     # a context past the guard changes nothing below it
-    assert landau_g(big, 50) == table_10k.truncate(50)
+    assert landau_g(big, 50) == landau_g(ctx_small, 50)
 
 
 def _sha256_of_cache(table, path):
@@ -105,8 +105,9 @@ def test_dp_matches_oracle_property(n):
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.3])
-def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, table_10k, eps):
+def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, eps):
     # a wide tie band sends thousands of cells through exact repair
+    reference = landau_g(ctx_small, 3000)
     walks = []
 
     def counting_exact(primes, choice, k):
@@ -116,7 +117,7 @@ def test_near_tie_repair_keeps_table(monkeypatch, ctx_small, table_10k, eps):
     exact = gtable._exact
     monkeypatch.setattr(gtable, "_exact", counting_exact)
     monkeypatch.setattr(gtable, "LOG_TIE_EPS", eps)
-    assert landau_g(ctx_small, 3000) == table_10k.truncate(3000)
+    assert landau_g(ctx_small, 3000) == reference
     assert len(walks) > 2000  # two or more exact candidates per repaired cell
 
 
@@ -125,7 +126,7 @@ def test_skipped_primes_change_nothing(ctx_small):
     n = 3000
     logs, every, choice = np.zeros(n + 1), [], []
     for p in ctx_small.primes[: bisect_right(ctx_small.primes, n)]:
-        logs = gtable._relax_prime(logs, p, every, choice, LOG_TIE_EPS)
+        logs = gtable._relax_prime(logs, p, every, choice)
     got, relaxed, _ = gtable._relax(ctx_small, n)
     assert np.array_equal(got, logs)
     small = every[: bisect_right(every, math.isqrt(n))]
@@ -145,30 +146,26 @@ def test_g50_known_value(table_10k):
     assert table_10k.g(50).value() == 180180  # 2^2·3^2·5·7·11·13
 
 
-def test_truncate(ctx_small, table_10k):
-    t = table_10k.truncate(100)
-    assert t.n_max == 100
-    assert t.g(100) == table_10k.g(100)
-    with pytest.raises(OutOfRangeError):
-        t.g(101)
-    for m in (0, t.n_max + 1):
-        with pytest.raises(OutOfRangeError):
-            t.truncate(m)
-    # a cut at an increase point, one before it, and at n = 1 is the smaller DP
+def test_smaller_dp_is_a_prefix(ctx_small, table_10k):
+    # every size a test builds, plus an increase point near 5000 and one before it
     nk = table_10k.starts[bisect_right(table_10k.starts, 5000) - 1]
-    for m in (nk, nk - 1, 1):
-        assert landau_g(ctx_small, m) == table_10k.truncate(m)
+    for m in (1, 2, 5, 7, 8, 10, 12, 29, 30, 48, 50, 100, 200, 500, 2000, 3000, nk, nk - 1):
+        t = landau_g(ctx_small, m)
+        assert t.starts == [s for s in table_10k.starts if s <= m], m
+        assert all(t.g(n) == table_10k.g(n) for n in range(1, m + 1)), m
+    with pytest.raises(OutOfRangeError):
+        landau_g(ctx_small, 100).g(101)
 
 
 # ---------------------------------------------------------------- increase points / gamma
 
 
-def test_increase_points_small(table_10k):
+def test_increase_points_small(ctx_small, table_10k):
     # first six increase points; g(8)=15 > g(7)=12 makes 8 the seventh
-    assert increase_points(table_10k.truncate(7)).points == [1, 2, 3, 4, 5, 7]
-    assert increase_points(table_10k.truncate(8)).points == [1, 2, 3, 4, 5, 7, 8]
-    assert increase_points(table_10k.truncate(1)).points == [1]
-    assert increase_points(table_10k.truncate(12)).points == [1, 2, 3, 4, 5, 7, 8, 9, 10, 12]
+    assert increase_points(landau_g(ctx_small, 7)).points == [1, 2, 3, 4, 5, 7]
+    assert increase_points(landau_g(ctx_small, 8)).points == [1, 2, 3, 4, 5, 7, 8]
+    assert increase_points(landau_g(ctx_small, 1)).points == [1]
+    assert increase_points(landau_g(ctx_small, 12)).points == [1, 2, 3, 4, 5, 7, 8, 9, 10, 12]
     # the oracle values behind the n_max=12 list
     assert [table_10k.g(n).value() for n in range(8, 13)] == [15, 20, 30, 30, 60]
 
@@ -195,9 +192,9 @@ def test_increase_points_and_gamma_make_no_comparison(monkeypatch, table_10k):
     assert [gamma(table_10k, n) for n in (1, 7, 11, 10**4)] == [1, 6, 9, len(points)]
 
 
-def test_champion_ell_at_increase_points(table_10k):
+def test_champion_ell_at_increase_points(ctx_small, table_10k):
     # n_1 = 1 is a convention point (ℓ(1) = 0), so the property starts at n_2
-    for nk in increase_points(table_10k.truncate(30)).points:
+    for nk in increase_points(landau_g(ctx_small, 30)).points:
         if nk >= 2:
             assert ell(table_10k.g(nk)) == nk
 
@@ -208,8 +205,8 @@ def test_gamma_examples(table_10k):
     assert gamma(table_10k, 6) == 5
 
 
-def test_gamma_consistency(table_10k):
-    t = table_10k.truncate(500)
+def test_gamma_consistency(ctx_small):
+    t = landau_g(ctx_small, 500)
     ip = increase_points(t)
     assert gamma(t, t.n_max) == len(ip.points)
     for n in range(1, 501):
@@ -218,15 +215,15 @@ def test_gamma_consistency(table_10k):
         assert (nk == n) == (n in ip.points)
 
 
-def test_gamma_matches_increase_points(table_10k):
-    t = table_10k.truncate(2000)
+def test_gamma_matches_increase_points(ctx_small):
+    t = landau_g(ctx_small, 2000)
     points = increase_points(t).points
     assert all(gamma(t, n) == bisect_right(points, n) for n in range(1, 2001))
 
 
-def test_gamma_out_of_range(table_10k):
+def test_gamma_out_of_range(ctx_small, table_10k):
     with pytest.raises(OutOfRangeError):
-        gamma(table_10k.truncate(10), 11)
+        gamma(landau_g(ctx_small, 10), 11)
     with pytest.raises(DomainError):
         gamma(table_10k, 0)
 
@@ -234,28 +231,28 @@ def test_gamma_out_of_range(table_10k):
 # ---------------------------------------------------------------- gap statistics
 
 
-def test_gap_statistics_examples(table_10k):
-    stats = gap_statistics(increase_points(table_10k.truncate(7)))
+def test_gap_statistics_examples(ctx_small):
+    stats = gap_statistics(increase_points(landau_g(ctx_small, 7)))
     assert stats.histogram == {1: 4, 2: 1}
     assert stats.min_gap == 1
 
-    two = increase_points(table_10k.truncate(2))
+    two = increase_points(landau_g(ctx_small, 2))
     assert gap_statistics(two).histogram == {1: 1}
 
-    stats3000 = gap_statistics(increase_points(table_10k.truncate(3000)))
+    stats3000 = gap_statistics(increase_points(landau_g(ctx_small, 3000)))
     assert stats3000.min_gap == 1
 
 
-def test_gap_statistics_needs_two_points(table_10k):
+def test_gap_statistics_needs_two_points(ctx_small):
     with pytest.raises(DomainError):
-        gap_statistics(increase_points(table_10k.truncate(1)))
+        gap_statistics(increase_points(landau_g(ctx_small, 1)))
 
 
 # ---------------------------------------------------------------- cache
 
 
-def test_cache_round_trip(tmp_path, table_10k):
-    t = table_10k.truncate(200)
+def test_cache_round_trip(tmp_path, ctx_small):
+    t = landau_g(ctx_small, 200)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_table_cache(t, p1)
     back = read_table_cache(p1)
@@ -264,8 +261,8 @@ def test_cache_round_trip(tmp_path, table_10k):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_cache_format(tmp_path, table_10k):
-    write_table_cache(table_10k.truncate(5), tmp_path / "t")
+def test_cache_format(tmp_path, ctx_small):
+    write_table_cache(landau_g(ctx_small, 5), tmp_path / "t")
     text = (tmp_path / "t").read_text()
     assert text == "1,1\n2,2^1\n3,3^1\n4,2^2\n5,2^1 3^1\n"
 
@@ -290,10 +287,10 @@ def test_cache_parse_errors(tmp_path):
         read_table_cache(bad)
 
 
-def test_cache_refuses_well_formed_wrong_value(tmp_path, table_10k):
+def test_cache_refuses_well_formed_wrong_value(tmp_path, ctx_small):
     # a line that parses and increases g is still not g: the DP decides
     bad = tmp_path / "g_table_30.csv"
-    write_table_cache(table_10k.truncate(29), bad)
+    write_table_cache(landau_g(ctx_small, 29), bad)
     with bad.open("a") as f:
         f.write("30,2^40\n")
     with pytest.raises(CacheParseError, match="line 30"):

@@ -7,7 +7,7 @@ import pytest
 
 from landau.arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, ell
 from landau.champions import benefit, build_champion
-from landau.gtable import brute_force_g, increase_points
+from landau.gtable import brute_force_g, increase_points, landau_g
 from landau.windows import (
     assemble_report,
     check_ordering_by_d,
@@ -285,9 +285,9 @@ def test_dp_mismatch_negative_control(ctx_million, rep101, table_10k):
     assert verify_window_against_dp(broken, table_10k)
 
 
-def test_dp_table_too_small(rep13, table_10k):
+def test_dp_table_too_small(ctx_small, rep13):
     with pytest.raises(OutOfRangeError):
-        verify_window_against_dp(rep13, table_10k.truncate(48))
+        verify_window_against_dp(rep13, landau_g(ctx_small, 48))
 
 
 def test_window_increase_points_match_offsets(rep13, rep31, rep101, table_10k):
