@@ -16,6 +16,7 @@ exact inequalities on sieved counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +40,7 @@ C1_SAFE = 0.00164
 PAIR_BUDGET = 10**9  # difference_set's pairs: about 5 s at 2.3·10⁸ pairs/s (numpy bincount; CPython 3.11, 2 vCPU)
 _PAIR_BLOCK_CELLS = 1 << 20  # differences formed at once in difference_set (8 MB of int64)
 _ROW_BLOCK = 1 << 16  # rows of num² grouped at once in sum_f_squared_check
-SAMPLE_BUDGET = 10**6  # exceptional_measure_scan's grid points: about 30 µs each (CPython 3.11, 2 vCPU)
+SAMPLE_BUDGET = 10**6  # exceptional_measure_scan's grid points: about 7 µs each at ξ = 10⁴ to 10⁶ (CPython 3.11, 2 vCPU)
 
 
 @dataclass(frozen=True)
@@ -229,38 +230,87 @@ def hypothesis_31_32(
     return len(ps) >= expected, len(qs) >= expected
 
 
-def nearest_slope(ctx: PrimeContext, x: float) -> tuple[int, int, float]:
-    """The prime power Q^k (k ≥ 2) whose corner slope (Q^k − Q^{k−1})/log Q is
-    closest to x/log x; returns (Q, k, distance).
-
-    Only slopes ≤ B = x/log x + √x matter: beyond that the distance already
-    exceeds √x ≥ the slope-separation margin √x/log⁴x.  The Q² slope grows with
-    Q, so the walk stops at the first Q past B; as it is ≥ Q and ≥ Q²/(2 log Q),
-    every Q that matters is ≤ √(2B·log B), which ctx must cover.
-    """
-    if not x > 1:
-        raise DomainError(f"x must exceed 1, got {x}")
+def _slope_reach(x: float) -> tuple[float, float]:
+    """ρ = x/log x, and the bound B = ρ + √x past which no corner slope matters
+    to c23 at x.  For x ≥ e such a slope lies more than √x ≥ √x/log⁴x from ρ;
+    below e, the 2² slope 2/log 2 ≤ B is already nearer than the margin."""
     rho = x / math.log(x)
-    bound = rho + math.sqrt(x)
+    return rho, rho + math.sqrt(x)
+
+
+def _corner_slopes(ctx: PrimeContext, bound: float) -> list[tuple[float, int, int]]:
+    """Every corner slope s = (Q^k − Q^{k−1})/log Q ≤ bound with k ≥ 2, as
+    (s, Q, k) tuples sorted by s, then Q, then k.
+
+    The Q² slope grows with Q, so the walk stops at the first Q past the
+    bound B; as that slope is ≥ Q and ≥ Q²/(2 log Q), every Q that matters
+    is ≤ √(2B·log B), which ctx must cover.
+    """
     # two square roots keep the gate finite near x = 1.7e308, where 2B·log B overflows
     prime_count(ctx, math.sqrt(2 * bound) * math.sqrt(math.log(bound)))
-    best = (0, 0, math.inf)
+    slopes = []
     for q in ctx.primes:
         lq = math.log(q)
         k = 2
         while (s := corner_slope(q, k, lq)) <= bound:
-            if abs(rho - s) < best[2]:
-                best = (q, k, abs(rho - s))
+            slopes.append((s, q, k))
             k += 1
-        if k == 2:  # Q²'s slope already passes B, and so does every later Q's
+        if k == 2:  # Q²'s slope already passes the bound, and so does every later Q's
             break
-    return best
+    slopes.sort()
+    return slopes
+
+
+def _nearest_in(slopes: list[tuple[float, int, int]], x: float) -> tuple[int, int, float]:
+    """nearest_slope at x, read from a _corner_slopes list built for a bound
+    ≥ B(x); slopes above B(x) are skipped.
+
+    |ρ − s| never shrinks away from ρ on either side, so only the runs of
+    equal distance next to ρ's place in the list can be nearest.  Among
+    equal distances the least (Q, k) wins, as the first one met in a walk
+    over Q, then k, ascending.
+    """
+    rho, bound = _slope_reach(x)
+    i = bisect_left(slopes, (rho,))  # slopes[:i] lie below ρ
+    best = (math.inf, 0, 0)
+    for side in (range(i - 1, -1, -1), range(i, len(slopes))):
+        for j in side:
+            s, q, k = slopes[j]
+            if s > bound or (d := abs(rho - s)) > best[0]:
+                break
+            best = min(best, (d, q, k))
+    dist, q, k = best
+    return q, k, dist
+
+
+def nearest_slope(ctx: PrimeContext, x: float) -> tuple[int, int, float]:
+    """The prime power Q^k (k ≥ 2) whose corner slope (Q^k − Q^{k−1})/log Q is
+    closest to x/log x; returns (Q, k, distance).
+
+    Only slopes ≤ B = x/log x + √x matter (_slope_reach); ctx must hold
+    every Q they need (_corner_slopes).
+    """
+    if not x > 1:
+        raise DomainError(f"x must exceed 1, got {x}")
+    return _nearest_in(_corner_slopes(ctx, _slope_reach(x)[1]), x)
+
+
+def _slope_margin(x: float) -> float:
+    """c23's margin √x/log⁴x."""
+    return math.sqrt(x) / math.log(x) ** 4
 
 
 def slope_separated(ctx: PrimeContext, x: float) -> bool:
     """c23: every corner slope (Q^k − Q^{k−1})/log Q, k ≥ 2, lies at least
     √x/log⁴x away from x/log x."""
-    return nearest_slope(ctx, x)[2] >= math.sqrt(x) / math.log(x) ** 4
+    return nearest_slope(ctx, x)[2] >= _slope_margin(x)
+
+
+def _count_conditions(ctx: PrimeContext, x: float, alpha: float, epsilon: float) -> tuple[bool, bool]:
+    """c21 and c22 of selberg_conditions."""
+    qs, ps, w = _prime_windows(ctx, x, alpha)
+    expected = w / math.log(x)
+    return abs(len(ps) - expected) <= epsilon * expected, abs(len(qs) - expected) <= epsilon * expected
 
 
 def selberg_conditions(
@@ -272,11 +322,7 @@ def selberg_conditions(
     c22: the mirror below x
     c23: |x/log x − (Q^k − Q^{k−1})/log Q| ≥ √x/log⁴x over all Q^k, k ≥ 2
     """
-    qs, ps, w = _prime_windows(ctx, x, alpha)
-    expected = w / math.log(x)
-    c21 = abs(len(ps) - expected) <= epsilon * expected
-    c22 = abs(len(qs) - expected) <= epsilon * expected
-    return c21, c22, slope_separated(ctx, x)
+    return (*_count_conditions(ctx, x, alpha, epsilon), slope_separated(ctx, x))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -305,10 +351,16 @@ def exceptional_measure_scan(
         raise DomainError(f"xi must exceed 1, got {xi}")
     xi_hi = xi + xi / math.log(xi)
     prime_count(ctx, xi_hi + xi_hi**alpha)  # refuses a scan past the sieve up front
+
+    def grid():
+        return (xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples))
+
+    # x/log x falls on (1, e), so the largest bound need not be at ξ_hi
+    slopes = _corner_slopes(ctx, max(_slope_reach(t)[1] for t in grid()))
     failures = 0
-    for i in range(samples):
-        t = xi + (xi_hi - xi) * i / (samples - 1)
-        if not all(selberg_conditions(ctx, t, alpha, epsilon)):
+    for t in grid():
+        c21, c22 = _count_conditions(ctx, t, alpha, epsilon)
+        if not (c21 and c22 and _nearest_in(slopes, t)[2] >= _slope_margin(t)):
             failures += 1
     return failures / samples
 

@@ -15,6 +15,7 @@ from landau.arith import (
     BudgetError,
     DomainError,
     OutOfRangeError,
+    corner_slope,
     factorize,
     prime_count,
     primes_between,
@@ -359,13 +360,33 @@ def nearest_slope_over_integers(x):
     return best
 
 
+def scan_grid(xi, samples):
+    xi_hi = xi + xi / math.log(xi)
+    return [xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples)]
+
+
 def test_nearest_slope_matches_integer_loop(ctx_million):
     rng = random.Random(23)
     xs = [1 + 1e-6, 1.01, 1.5, 4, 16, 100, 10**6]
     xs += [rng.uniform(1, 10**6) for _ in range(40)]
     xs += [10 ** rng.uniform(0, 6) for _ in range(40)]
-    for x in xs:
+    grid = scan_grid(10**4, 200)[::4]
+    # x/log x falls on (1, e), and its slope gaps outgrow √x as x nears 1
+    near_one = [1 + 10 ** rng.uniform(-4, math.log10(math.e - 1)) for _ in range(20)]
+    for x in xs + grid + near_one:
         assert nearest_slope(ctx_million, x) == nearest_slope_over_integers(x), x
+    # the scan's way: one list for the largest bound, each point bisected into it
+    sides, cut = set(), 0
+    for points in (grid, near_one):
+        slopes = prime_gaps._corner_slopes(ctx_million, max(prime_gaps._slope_reach(t)[1] for t in points))
+        for x in points:
+            q, k, dist = nearest_slope_over_integers(x)
+            assert prime_gaps._nearest_in(slopes, x) == (q, k, dist), x
+            rho, bound = prime_gaps._slope_reach(x)
+            sides.add(corner_slope(q, k, math.log(q)) > rho)
+            cut += any(bound < s and abs(rho - s) < dist for s, _, _ in slopes)
+    assert sides == {False, True}  # the nearest slope lies below ρ at some points, above at others
+    assert cut > 0  # and somewhere a nearer slope lies past B(x), which the walk never reaches
 
 
 def test_nearest_slope_sieve_boundary():
@@ -395,6 +416,23 @@ def test_scan_sieves_nothing(monkeypatch, ctx_million):
     monkeypatch.setattr(prime_gaps, "sieve_primes", counting_sieve)
     exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, 200)
     assert calls == []  # every grid point reads the caller's sieve
+
+
+def test_scan_lists_slopes_once(monkeypatch, ctx_million):
+    calls = 0
+
+    def counting_slope(p, k, lp):
+        nonlocal calls
+        calls += 1
+        return corner_slope(p, k, lp)
+
+    monkeypatch.setattr(prime_gaps, "corner_slope", counting_slope)
+    counts = []
+    for samples in (20, 200):
+        calls = 0
+        exceptional_measure_scan(ctx_million, 10**4, 0.45, 0.9, samples)
+        counts.append(calls)
+    assert counts[0] == counts[1] > 0  # the slopes are listed once, not per grid point
 
 
 def test_slope_separated_is_selberg_c23(ctx_million):
@@ -431,6 +469,22 @@ def test_scan_counts_failures(ctx_small):
     grid = [xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples)]
     failures = sum(not all(selberg_conditions(ctx_small, t, alpha, epsilon)) for t in grid)
     assert fraction == failures / samples == 0.5
+
+
+def test_scan_fraction_is_a_recount_of_selberg_conditions(ctx_million):
+    rng = random.Random(25)
+    cases = []
+    for lo, hi in ((1.001, math.e), (math.e, 100), (100, 10**5)):
+        for _ in range(8):
+            cases.append((rng.uniform(lo, hi), rng.uniform(0.2, 0.8), rng.uniform(0, 0.99), rng.randint(10, 200)))
+    # with ε = 0.9 the prime counts hold at grid points where c23 alone fails
+    cases += [(xi, 0.45, 0.9, 200) for xi in (12, 14, 15, 16, 40, 100, 1000)]
+    for xi, alpha, epsilon, samples in cases:
+        conditions = [selberg_conditions(ctx_million, t, alpha, epsilon) for t in scan_grid(xi, samples)]
+        failures = sum(not all(c) for c in conditions)
+        assert exceptional_measure_scan(ctx_million, xi, alpha, epsilon, samples) == failures / samples, xi
+        if epsilon == 0.9:
+            assert (True, True, False) in conditions, xi
 
 
 def test_scan_sample_budget(ctx_million, monkeypatch):
