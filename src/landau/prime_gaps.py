@@ -41,6 +41,10 @@ PAIR_BUDGET = 10**9  # difference_set's pairs: about 5 s at 2.3·10⁸ pairs/s (
 _PAIR_BLOCK_CELLS = 1 << 20  # differences formed at once in difference_set (8 MB of int64)
 _ROW_BLOCK = 1 << 16  # rows of num² grouped at once in sum_f_squared_check
 SAMPLE_BUDGET = 10**6  # exceptional_measure_scan's grid points: about 7 µs each at ξ = 10⁴ to 10⁶ (CPython 3.11, 2 vCPU)
+# sum_f_squared_check's terms f²(n): 1.6 s at 10⁶, 5.0 s at 2·10⁶, 11 s at 3·10⁶
+# and 88 s at 10⁷, as the lcm merge and the final gcd grow with the exact
+# denominator (CPython 3.11, 2 vCPU)
+TERM_BUDGET = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -83,24 +87,30 @@ def difference_set(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int]
     differences at once, and np.bincount adds them into one int64 count per
     difference.  E is ascending and r's keys follow it, as Python ints.
     """
-    qs, ps, w = _prime_windows(ctx, x, alpha)
+    lo, mid, hi, w = _prime_windows(ctx, x, alpha)
     if not x - w > 1:
         raise DomainError(f"x − x^α = {x - w} must exceed 1")
-    if len(qs) * len(ps) > PAIR_BUDGET:
-        raise BudgetError(f"{len(qs)}·{len(ps)} prime pairs exceed the budget of {PAIR_BUDGET}")
-    if not qs or not ps:
+    if (mid - lo) * (hi - mid) > PAIR_BUDGET:
+        raise BudgetError(f"{mid - lo}·{hi - mid} prime pairs exceed the budget of {PAIR_BUDGET}")
+    if lo == mid or mid == hi:
         return [], {}
-    Q, P = np.array(qs, dtype=np.int64), np.array(ps, dtype=np.int64)
-    low = ps[0] - qs[-1]  # every P exceeds every Q, so the differences start here
-    span = ps[-1] - qs[0] - low + 1
+    primes, packed = ctx.primes, _packed(ctx)
+    Q, P = packed[lo:mid], packed[mid:hi]
+    low = primes[mid] - primes[mid - 1]  # every P exceeds every Q, so the differences start here
+    span = primes[hi - 1] - primes[lo] - low + 1
     counts = np.zeros(span, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK_CELLS // len(ps))
-    for i in range(0, len(qs), rows):
+    rows = max(1, _PAIR_BLOCK_CELLS // (hi - mid))
+    for i in range(0, mid - lo, rows):
         diffs = P[None, :] - (Q[i : i + rows, None] + low)
         counts += np.bincount(diffs.ravel(), minlength=span)
     seen = np.flatnonzero(counts)
     E = (seen + low).tolist()
     return E, dict(zip(E, counts[seen].tolist()))
+
+
+def _packed(ctx: PrimeContext) -> np.ndarray:
+    """ctx.primes as an int64 numpy view, with no copy."""
+    return np.frombuffer(ctx.primes, dtype=np.int64)
 
 
 def f_factor(d: int) -> Fraction:
@@ -141,7 +151,7 @@ def _f_sieve(ctx: PrimeContext, limit: int) -> tuple[np.ndarray, np.ndarray]:
     for p in primes_between(ctx, 2, root):
         num[p::p] *= p - 1
         den[p::p] *= p - 2
-    large = np.array(primes_between(ctx, max(root, 2), limit), dtype=np.int32)
+    large = _packed(ctx)[prime_count(ctx, max(root, 2)) : prime_count(ctx, limit)]
     for j in range(1, limit // (root + 1) + 1):
         P = large[: np.searchsorted(large, limit // j, side="right")]
         num[j * P] *= P - 1
@@ -182,6 +192,8 @@ def sum_f_squared_check(limit: int) -> tuple[Fraction, bool, float]:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit >= 1 << 31:
         raise OutOfRangeError(f"limit must be below 2^31, got {limit}")
+    if limit > TERM_BUDGET:
+        raise BudgetError(f"{limit} terms exceed the budget of {TERM_BUDGET}")
     # the sieve's size guard refuses before the arrays exist, and its primes
     # are not held through the exact sum, which sets peak memory
     pairs = list(_square_sums(*_f_sieve(sieve_primes(max(limit, 2)), limit)).items())
@@ -206,28 +218,30 @@ def euler_products(ctx: PrimeContext, limit: int) -> tuple[float, float]:
         raise DomainError(f"limit must be >= 3, got {limit}")
     twin_style = 1.0
     fsq_density = 1.0
-    for p in primes_between(ctx, 2, limit):
+    # a memoryview slice reads the packed primes as ints without copying them
+    for p in memoryview(ctx.primes)[prime_count(ctx, 2) : prime_count(ctx, limit)]:
         twin_style *= 1 - 1 / (p - 1) ** 2
         fsq_density *= 1 + (2 * p - 3) / (p * (p - 2) ** 2)
     return twin_style, fsq_density
 
 
-def _prime_windows(ctx: PrimeContext, x: float, alpha: float) -> tuple[list[int], list[int], float]:
-    """The primes in (x − x^α, x] and in (x, x + x^α], and x^α."""
+def _prime_windows(ctx: PrimeContext, x: float, alpha: float) -> tuple[int, int, int, float]:
+    """(lo, mid, hi, x^α): ctx.primes[lo:mid] are the primes in (x − x^α, x]
+    and ctx.primes[mid:hi] those in (x, x + x^α]."""
     _check_alpha(alpha)
     if not x > 1:
         raise DomainError(f"x must exceed 1, got {x}")
     w = x**alpha
-    return primes_between(ctx, x - w, x), primes_between(ctx, x, x + w), w
+    return prime_count(ctx, x - w), prime_count(ctx, x), prime_count(ctx, x + w), w
 
 
 def hypothesis_31_32(
     ctx: PrimeContext, x: float, alpha: float, epsilon: float
 ) -> tuple[bool, bool]:
     """π(x+x^α) − π(x) ≥ (1−ε)x^α/log x, and the mirror below x."""
-    qs, ps, w = _prime_windows(ctx, x, alpha)
+    lo, mid, hi, w = _prime_windows(ctx, x, alpha)
     expected = (1 - epsilon) * w / math.log(x)
-    return len(ps) >= expected, len(qs) >= expected
+    return hi - mid >= expected, mid - lo >= expected
 
 
 def _slope_reach(x: float) -> tuple[float, float]:
@@ -308,9 +322,9 @@ def slope_separated(ctx: PrimeContext, x: float) -> bool:
 
 def _count_conditions(ctx: PrimeContext, x: float, alpha: float, epsilon: float) -> tuple[bool, bool]:
     """c21 and c22 of selberg_conditions."""
-    qs, ps, w = _prime_windows(ctx, x, alpha)
+    lo, mid, hi, w = _prime_windows(ctx, x, alpha)
     expected = w / math.log(x)
-    return abs(len(ps) - expected) <= epsilon * expected, abs(len(qs) - expected) <= epsilon * expected
+    return abs(hi - mid - expected) <= epsilon * expected, abs(mid - lo - expected) <= epsilon * expected
 
 
 def selberg_conditions(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,8 +61,8 @@ def random_factored(rng, cap=2**63):
 
 
 def test_sieve_small():
-    assert sieve_primes(10).primes == [2, 3, 5, 7]
-    assert sieve_primes(2).primes == [2]
+    assert list(sieve_primes(10).primes) == [2, 3, 5, 7]
+    assert list(sieve_primes(2).primes) == [2]
 
 
 def test_sieve_rejects_empty_domain():
@@ -83,16 +84,35 @@ def test_sieve_refuses_limit_past_guard(monkeypatch):
 
 
 def test_sieve_against_trial_division():
-    assert sieve_primes(10**4).primes == trial_division_primes(10**4)
+    assert list(sieve_primes(10**4).primes) == trial_division_primes(10**4)
 
 
 def test_sieve_million_against_second_implementation(ctx_million):
     assert len(ctx_million.primes) == 78498
-    assert ctx_million.primes == flat_sieve(10**6)
+    assert list(ctx_million.primes) == flat_sieve(10**6)
 
 
 def test_sieve_prefix_consistency(ctx_million, ctx_small):
-    assert ctx_small.primes == [p for p in ctx_million.primes if p <= 10**4]
+    assert list(ctx_small.primes) == [p for p in ctx_million.primes if p <= 10**4]
+
+
+def test_sieve_packs_int64_that_read_back_as_ints(ctx_million):
+    for ctx in (*map(sieve_primes, range(2, 2001)), sieve_primes(10**4), ctx_million):
+        assert ctx.primes.typecode == "q"
+        assert all(type(p) is int for p in ctx.primes)
+        assert list(ctx.primes) == flat_sieve(ctx.limit), ctx.limit
+
+
+def test_sieve_peak_memory_at_ten_million():
+    # 664 579 primes: 5.1 MiB packed, 26 MiB as a list of Python ints
+    tracemalloc.start()
+    try:
+        ctx = sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx.primes) == 664_579 and ctx.primes[-1] == 9_999_991
+    assert peak < 12 * 2**20
 
 
 # ---------------------------------------------------------------- prime_count
@@ -133,6 +153,13 @@ BOUND = st.one_of(st.integers(-50, 1000), st.floats(-50, 1000))
 @example(996.5, 997)
 def test_primes_between_is_the_filter(lo, hi):
     assert primes_between(CTX_1000, lo, hi) == [p for p in CTX_1000.primes if lo < p <= hi]
+
+
+def test_primes_between_returns_a_list_of_ints():
+    # callers take combinations, dict keys, [::-1] and bisect with a key of it
+    for lo, hi in ((0, 1000), (100, 200), (7, 7), (990, 1000)):
+        got = primes_between(CTX_1000, lo, hi)
+        assert type(got) is list and all(type(p) is int for p in got)
 
 
 @given(BOUND, st.floats(1000, 1e9, exclude_min=True))

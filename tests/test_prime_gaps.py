@@ -239,7 +239,9 @@ class _NoArrays:
 
 
 def test_sum_f_squared_refuses_int32_overflow(monkeypatch):
-    # refused before any array or sieve is built
+    # refused before any array or sieve is built; the term budget, lifted
+    # here, would refuse both limits first
+    monkeypatch.setattr(prime_gaps, "TERM_BUDGET", 1 << 32)
     monkeypatch.setattr(prime_gaps, "np", _NoArrays())
     monkeypatch.setattr(prime_gaps, "sieve_primes", _refuse)
     with pytest.raises(OutOfRangeError):
@@ -249,9 +251,25 @@ def test_sum_f_squared_refuses_int32_overflow(monkeypatch):
 
 
 def test_sum_f_squared_refuses_past_sieve_guard(monkeypatch):
+    monkeypatch.setattr(prime_gaps, "TERM_BUDGET", 1 << 32)
     monkeypatch.setattr(prime_gaps, "np", _NoArrays())
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="sieve limit"):
         sum_f_squared_check(SIEVE_GUARD + 1)
+
+
+def test_sum_f_squared_term_budget(monkeypatch):
+    start = time.perf_counter()
+    for limit in (prime_gaps.TERM_BUDGET + 1, 10**8, 2**31 - 1):
+        with pytest.raises(BudgetError, match="terms exceed"):
+            sum_f_squared_check(limit)
+    assert time.perf_counter() - start < 0.5
+    # refused before any array or sieve is built, and the boundary itself runs
+    monkeypatch.setattr(prime_gaps, "TERM_BUDGET", 1000)
+    assert sum_f_squared_check(1000) == sum_f_squared_by_fractions(1000)
+    monkeypatch.setattr(prime_gaps, "np", _NoArrays())
+    monkeypatch.setattr(prime_gaps, "sieve_primes", _refuse)
+    with pytest.raises(BudgetError):
+        sum_f_squared_check(1001)
 
 
 def f_sieve_by_slices(ctx, limit):
