@@ -9,6 +9,7 @@ natural logs with an exact big-integer fallback when the logs nearly tie.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ import numpy as np
 LOG_TIE_EPS = 1e-9
 # largest sieve limit: at 10⁸ the 5 761 455 primes take 46 MB packed, and
 # `landau constants --limit 100000000` peaks at 76 MB RSS in about 3 s
-# (2 vCPU, CPython 3.11)
+# (2 vCPU, CPython 3.11).  prime_gaps._nearest_in needs distinct corner slopes
+# within this reach: raising it means checking that again (see CHANGES.md)
 SIEVE_GUARD = 10**8
 # largest trial divisor factorize tries: about a second of trial division; a
 # cofactor that outlasts it is neither below 10¹⁴ nor proven prime
@@ -57,7 +59,7 @@ class FactoredInteger:
     __slots__ = ("factors", "log_value", "_value")
 
     def __init__(self, factors=()):
-        fs = tuple((int(p), int(e)) for p, e in factors)
+        fs = tuple((operator.index(p), operator.index(e)) for p, e in factors)
         prev = 1
         for p, e in fs:
             if p < 2 or e < 1:

@@ -16,7 +16,7 @@ import sys
 
 from .arith import BudgetError, DomainError, FactoredInteger, OutOfRangeError, sieve_primes
 from .champions import build_champion
-from .gtable import LandauTable, factor_token, gamma, increase_points, landau_g
+from .gtable import TABLE_GUARD, LandauTable, factor_token, gamma, increase_points, landau_g
 from .prime_gaps import (
     C1_SAFE,
     build_gap_report,
@@ -123,7 +123,8 @@ def _emit(fmt: str, payload, text, csv_rows=None) -> None:
 
 
 def _table(n_max: int) -> LandauTable:
-    return landau_g(sieve_primes(max(n_max, 3)), n_max)
+    # landau_g refuses n_max past TABLE_GUARD, so no sieve need reach further
+    return landau_g(sieve_primes(max(min(n_max, TABLE_GUARD), 3)), n_max)
 
 
 def _check_in(name: str, value: float, low: float, high: float = math.inf) -> None:

@@ -276,24 +276,15 @@ def _corner_slopes(ctx: PrimeContext, bound: float) -> list[tuple[float, int, in
 
 
 def _nearest_in(slopes: list[tuple[float, int, int]], x: float) -> tuple[int, int, float]:
-    """nearest_slope at x, read from a _corner_slopes list built for a bound
-    ≥ B(x); slopes above B(x) are skipped.
-
-    |ρ − s| never shrinks away from ρ on either side, so only the runs of
-    equal distance next to ρ's place in the list can be nearest.  Among
-    equal distances the least (Q, k) wins, as the first one met in a walk
-    over Q, then k, ascending.
-    """
+    """nearest_slope at x from a _corner_slopes list built for a bound ≥ B(x),
+    skipping slopes above B(x).  The slopes are distinct up to B = 1.53·10¹⁴,
+    where the gate √(2B·log B) reaches SIEVE_GUARD (3 135 224 of them, checked
+    on a sieve to 10⁸; see CHANGES.md), so the nearest is ρ's neighbour below
+    or above it; at equal distance the least (Q, k) wins."""
     rho, bound = _slope_reach(x)
     i = bisect_left(slopes, (rho,))  # slopes[:i] lie below ρ
-    best = (math.inf, 0, 0)
-    for side in (range(i - 1, -1, -1), range(i, len(slopes))):
-        for j in side:
-            s, q, k = slopes[j]
-            if s > bound or (d := abs(rho - s)) > best[0]:
-                break
-            best = min(best, (d, q, k))
-    dist, q, k = best
+    near = [(abs(rho - s), q, k) for s, q, k in slopes[max(i - 1, 0) : i + 1] if s <= bound]
+    dist, q, k = min(near, default=(math.inf, 0, 0))
     return q, k, dist
 
 
@@ -366,13 +357,15 @@ def exceptional_measure_scan(
     xi_hi = xi + xi / math.log(xi)
     prime_count(ctx, xi_hi + xi_hi**alpha)  # refuses a scan past the sieve up front
 
-    def grid():
-        return (xi + (xi_hi - xi) * i / (samples - 1) for i in range(samples))
+    def point(i):
+        return xi + (xi_hi - xi) * i / (samples - 1)
 
-    # x/log x falls on (1, e), so the largest bound need not be at ξ_hi
-    slopes = _corner_slopes(ctx, max(_slope_reach(t)[1] for t in grid()))
+    # B(t) falls, then rises: B'(t) = (log t − 1)/log²t + 1/(2√t) is > 0 from e on,
+    # and grows on (1, e], where its first term's derivative (2 − log t)/(t·log³t)
+    # is ≥ 1/e and its second's is under 1/4 in size; so the largest B is at an end
+    slopes = _corner_slopes(ctx, max(_slope_reach(point(i))[1] for i in (0, samples - 1)))
     failures = 0
-    for t in grid():
+    for t in map(point, range(samples)):
         c21, c22 = _count_conditions(ctx, t, alpha, epsilon)
         if not (c21 and c22 and _nearest_in(slopes, t)[2] >= _slope_margin(t)):
             failures += 1

@@ -214,6 +214,11 @@ def test_factored_validation():
         FactoredInteger([(2, 0)])  # exponent < 1
     with pytest.raises(DomainError):
         FactoredInteger([(1, 2)])
+    # a float prime or exponent is refused, not truncated to an int
+    for factors in ([(2, 1.5), (3.9, 1)], [(2.0, 1)], [(2, 1.0)]):
+        with pytest.raises(TypeError):
+            FactoredInteger(factors)
+    assert FactoredInteger([(np.int64(2), np.int32(3))]).value() == 8
 
 
 def test_factored_value_and_log():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -60,6 +61,32 @@ def test_exit_budget_error():
     out = run_cli("table", "--to", "300000")
     assert out.returncode == 2
     assert "error:" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        ("g", "--n", "100000000"),
+        ("table", "--to", "99999999"),
+        ("increase-points", "--to", str(TABLE_GUARD + 1)),
+        ("gamma", "--n", "100000001"),
+        ("window", "--x", "40009", "--alpha", "0.4"),  # its table would reach n = 79 402 677
+    ],
+    ids=" ".join,
+)
+def test_table_guard_refuses_before_a_sieve_past_it(invocation, monkeypatch, capsys):
+    asked = []
+
+    def recording_sieve(limit):
+        asked.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(cli, "sieve_primes", recording_sieve)
+    assert cli.main(list(invocation)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(rf"error: n_max=\d+ exceeds guard {TABLE_GUARD}\n", out.err)
+    assert asked and max(asked) <= TABLE_GUARD
 
 
 # stdout digests of `champion --x 9887` (4297 digits), fixed when the text was

@@ -407,6 +407,45 @@ def test_nearest_slope_matches_integer_loop(ctx_million):
     assert cut > 0  # and somewhere a nearer slope lies past B(x), which the walk never reaches
 
 
+def test_corner_slopes_are_distinct_at_the_sieves_reach():
+    # _nearest_in reads only ρ's two neighbours, which needs distinct slopes;
+    # the largest list a sieve to 10⁶ allows holds no two equal
+    ctx = sieve_primes(10**6)
+    reach = lambda b: math.sqrt(2 * b) * math.sqrt(math.log(b))  # the gate in _corner_slopes
+    lo, hi = 1e10, 1e11
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if reach(mid) <= ctx.limit else (lo, mid)
+    slopes = prime_gaps._corner_slopes(ctx, lo)
+    assert len(slopes) > 40_000
+    assert all(a[0] < b[0] for a, b in zip(slopes, slopes[1:]))
+    with pytest.raises(OutOfRangeError):
+        prime_gaps._corner_slopes(ctx, hi)
+
+
+def test_scan_bound_from_the_grid_ends_covers_every_point(monkeypatch, ctx_million):
+    # B(t) = t/log t + √t falls, then rises, so its largest value on a grid
+    # is at the first or last point
+    rng = random.Random(29)
+    cases = [(1 + 10 ** rng.uniform(-6, -1), rng.randint(10, 300)) for _ in range(20)]
+    cases += [(rng.uniform(1.1, math.e), rng.randint(10, 300)) for _ in range(20)]
+    cases += [(10 ** rng.uniform(0.5, 8), rng.randint(10, 300)) for _ in range(20)]
+    bounds_asked, corner_slopes = [], prime_gaps._corner_slopes
+
+    def recording_slopes(ctx, bound):
+        bounds_asked.append(bound)
+        return corner_slopes(ctx, bound)
+
+    monkeypatch.setattr(prime_gaps, "_corner_slopes", recording_slopes)
+    for xi, samples in cases:
+        bounds = [prime_gaps._slope_reach(t)[1] for t in scan_grid(xi, samples)]
+        assert max(bounds) <= max(bounds[0], bounds[-1]), (xi, samples)
+        if 1 + 1e-4 < xi < 10**5:  # the scan itself lists its slopes up to that bound
+            bounds_asked.clear()
+            exceptional_measure_scan(ctx_million, xi, 0.45, 0.5, samples)
+            assert bounds_asked == [max(bounds)], (xi, samples)
+
+
 def test_nearest_slope_sieve_boundary():
     # at x = 100 every Q that matters is ≤ √(2B·log B) ≈ 14.81
     with pytest.raises(OutOfRangeError):
