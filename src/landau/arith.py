@@ -18,8 +18,14 @@ from itertools import starmap
 import numpy as np
 
 # Below this log gap a comparison is decided by exact expansion.  The same
-# slack decides corner-slope ties in champions and bounds the float error
-# allowed in the eq. 5.2 benefit check of windows.  The largest
+# slack decides corner-slope ties in champions and is the tolerance of the
+# eq. 5.2 check in windows, but there it bounds the float error only while
+# log N < 2¹³ (x below about 8·10³): ben(M) = ℓ(M) − n − ρ·(log M − log N)
+# rounds by about ρ·ulp(log N), which is 1.7e-11 at x = 1009, 2.0e-9 at
+# x = 10007 and 2.7e-8 at x = 40009.  Past 2¹³ the verdicts rest on the
+# margin (m − n) − ben(g(m)) instead: over every window value other than N it
+# is at least 0.19 up to x = 40009 (α = 0.45 to x = 10007, then 0.4), and at
+# M = N ben is exactly 0.  The largest
 # float logs compared are the g-table DP's cells: each is a sum of at most
 # k positive rounded terms e·log p, k the number of primes the DP relaxes, so
 # its error stays below about k·2⁻⁵²·log g(n).  At n = 10⁴ that is

@@ -66,41 +66,30 @@ def _g_line(n: int, fi: FactoredInteger) -> str:
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
-def _is_factor_pairs(v) -> bool:
-    return (
-        isinstance(v, list)
-        and bool(v)
-        and all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(t, int) for t in e)
-            for e in v
-        )
-    )
-
-
 def _flatten_payload(payload: dict) -> list[tuple[str, str]]:
-    """Nested JSON payload → (key, value) rows; the CSV twin of the JSON."""
+    """A report's JSON payload → (key, value) rows; the CSV twin of the JSON.
+
+    The lists of lists in a payload are factor lists and its lists of dicts
+    are window rows, each with an "m", so the first element tells them apart.
+    """
     rows = [("key", "value")]
 
     def walk(key, v):
         if isinstance(v, dict):
             for k, sub in v.items():
                 walk(f"{key}.{k}" if key else str(k), sub)
-        elif _is_factor_pairs(v):
-            rows.append((key, factor_token(v)))
-        elif isinstance(v, list):
-            if v and all(isinstance(e, dict) for e in v):
-                for i, e in enumerate(v):
-                    tag = e.get("m", i)
-                    walk(f"{key}.{tag}", {k: s for k, s in e.items() if k != "m"})
-            else:
-                rows.append((key, " ".join(_cell(e) for e in v)))
-        else:
+        elif not isinstance(v, list):
             rows.append((key, _cell(v)))
+        elif v and isinstance(v[0], list):
+            rows.append((key, factor_token(v)))
+        elif v and isinstance(v[0], dict):
+            for e in v:
+                walk(f"{key}.{e['m']}", {k: s for k, s in e.items() if k != "m"})
+        else:
+            rows.append((key, " ".join(map(_cell, v))))
 
     walk("", payload)
     return rows

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from landau.arith import SIEVE_GUARD, sieve_primes
@@ -424,6 +425,59 @@ def test_table_csv_matches_json():
         for e in payload["table"]
     ]
     assert got == expected
+
+
+def test_cell_prints_floats_and_booleans():
+    assert cli._cell(np.float64(0.1)) == "0.1"
+    assert cli._cell(0.1) == "0.1"
+    assert (cli._cell(True), cli._cell(False)) == ("true", "false")
+
+
+N13 = "2^2 3^1 5^1 7^1 11^1 13^1"
+N17 = "2^2 3^1 5^1 7^1 11^1 17^1"
+FLAT_ROWS = {
+    "champion": [
+        ("x", "13.0"), ("rho", "5.06832618826664"), ("n", "43"), ("factors", N13),
+        ("tie_flags", "13"),
+    ],
+    "window": [
+        ("x", "13.0"), ("alpha", "0.45"), ("n", "43"), ("d_sequence", "0 4 6"),
+        ("window.43.factors", N13), ("window.43.d", "0"),
+        ("window.44.factors", N13), ("window.44.d", "1"),
+        ("window.45.factors", N13), ("window.45.d", "2"),
+        ("window.46.factors", N13), ("window.46.d", "3"),
+        ("window.47.factors", N17), ("window.47.d", "4"),
+        ("window.48.factors", N17), ("window.48.d", "5"),
+        ("window.49.factors", "2^2 3^1 5^1 7^1 13^1 17^1"), ("window.49.d", "6"),
+        ("checks.ordering", "true"), ("checks.dp_match", "false"), ("checks.eq52", "true"),
+    ],
+    "gaps": [
+        ("x", "100.0"), ("alpha", "0.5"), ("epsilon", "0.5"), ("E", "4 6 10 12"),
+        ("r.4", "1"), ("r.6", "1"), ("r.10", "1"), ("r.12", "1"),
+        ("hyp31", "true"), ("hyp32", "false"), ("selberg", "false false true"),
+        ("c2", "6.40625e-06"), ("lower_bound_holds", "true"),
+    ],
+    "constants": [
+        ("c1", "27 16384"), ("c1_float", "0.00164794921875"), ("c1_safe", "0.00164"),
+        ("c1_safe_valid", "true"), ("alpha", "1.0"), ("epsilon", "0.0"), ("c2", "0.00164"),
+        ("euler_limit", "1000"), ("twin_product", "0.6602457439708004"),
+        ("f_square_product", "2.639174551307731"),
+    ],
+    "scan": [
+        ("xi", "1000.0"), ("alpha", "0.4"), ("epsilon", "0.9"), ("samples", "10"),
+        ("fraction", "0.0"), ("comparator", "0.0030338155272056294"),
+    ],
+}
+
+
+@pytest.mark.parametrize("invocation", REPORT_INVOCATIONS, ids=lambda inv: inv[0])
+def test_flatten_payload_rows(monkeypatch, invocation):
+    """Each report's payload, as the command builds it in process, flattens to
+    these rows (same platform caveat as the stdout digests above)."""
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda fmt, payload, *_: payloads.append(payload()))
+    assert cli.main(list(invocation)) == 0
+    assert _flatten_payload(payloads[0]) == [("key", "value"), *FLAT_ROWS[invocation[0]]]
 
 
 # ---------------------------------------------------------------- determinism

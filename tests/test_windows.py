@@ -246,6 +246,18 @@ def test_eq52_bound_equals_check_at_every_m(rep13, rep101):
     assert [eq52_bound_holds(r) for r in reps] == [True, True, False, True, False, True]
 
 
+@pytest.mark.parametrize("x", [1009, 10007])
+def test_eq52_slack_dwarfs_the_float_error(ctx_million, x):
+    """The verdict needs no tolerance: ben rounds by about ρ·ulp(log N), which
+    passes LOG_TIE_EPS at x = 10007, but (m − n) − ben(g(m)) stays a million
+    times larger over every window value other than N."""
+    champ = build_champion(ctx_million, x)
+    rep = window_g(champ, 0.45, ctx_million)
+    n, error = champ.n, champ.rho * math.ulp(champ.N.log_value)
+    slack = min(m - n - benefit(champ, fi) for m, fi in rep.window_g.items() if fi != champ.N)
+    assert slack > 10**6 * error
+
+
 # ---------------------------------------------------------------- DP comparison
 
 
